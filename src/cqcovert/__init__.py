@@ -31,10 +31,8 @@ from .operators import (
     SpectralDecomposition,
     eig_hermitian,
     matrix_fn,
-    partial_trace,
     pinch,
     positive_part_projector,
-    support_projector,
     tensor_power,
     tensor_product,
 )

@@ -12,6 +12,7 @@ space so rho(0) becomes full rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -20,12 +21,14 @@ from .config import (
     PSD_TOL,
     SUPPORT_TOL,
     TRACE_TOL,
+    dim_cap,
 )
-from .errors import UnusableChannelError
+from .divergences import _clip_nonnegative, _entropy_of_spectrum
+from .errors import DimensionCapError, UnusableChannelError
 from .operators import (
     DensityOperator,
+    matrix_fn,
     support_is_contained,
-    tensor_product,
 )
 
 
@@ -175,12 +178,6 @@ def validate(sigma_mats, rho_mats) -> ChannelDiagnostics:
     return diag
 
 
-def is_sanitized(ch: CQWiretapChannel) -> bool:
-    """Whether rho(0) is full rank on the (possibly compressed) space."""
-    w = np.linalg.eigvalsh(ch.rho[0].mat)
-    return bool(w[0] > SUPPORT_TOL)
-
-
 def sanitize(ch: CQWiretapChannel):
     """Discard undetectably-unusable symbols and compress the eavesdropper space.
 
@@ -224,13 +221,12 @@ def sanitize(ch: CQWiretapChannel):
 
 
 def product_output_state(ch: CQWiretapChannel, codeword, side: str) -> DensityOperator:
-    """Tensor product of the per-symbol output states along a codeword."""
+    """Tensor product of the per-symbol output states along a codeword, with
+    one cap check; exactly Hermitian (see ``operators.tensor_product``)."""
     symbols = _check_codeword(codeword, ch.k)
+    _n_letter_dim(ch, side, len(symbols))
     states = ch.states(side)
-    out = states[symbols[0]]
-    for x in symbols[1:]:
-        out = tensor_product(out, states[x])
-    return out
+    return DensityOperator._exact(reduce(np.kron, [states[x].mat for x in symbols]))
 
 
 def average_output_state(ch: CQWiretapChannel, dist, side: str) -> DensityOperator:
@@ -244,6 +240,72 @@ def average_output_state(ch: CQWiretapChannel, dist, side: str) -> DensityOperat
         if p != 0.0:
             mix += p * state.mat
     return DensityOperator(mix, validate=False)
+
+
+def _n_letter_dim(ch: CQWiretapChannel, side: str, n: int) -> int:
+    """Dimension of the n-letter space on ``side``, checked against the cap."""
+    dim = ch.states(side)[0].dim ** n
+    cap = dim_cap()
+    if dim > cap:
+        raise DimensionCapError(f"{side} space of dimension {dim} exceeds the cap {cap}")
+    return dim
+
+
+def _letter_mass(codewords: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """Sum_m w_m #{i : x_mi = x} for every symbol x."""
+    n = codewords.shape[1]
+    return np.bincount(codewords.ravel(), weights=np.repeat(weights, n), minlength=k)
+
+
+def _codebook_mixture(ch: CQWiretapChannel, codewords: np.ndarray,
+                      weights: np.ndarray, side: str) -> np.ndarray:
+    """Sum_m w_m (n-letter output state of codeword m) on ``side``, as an array."""
+    dim = _n_letter_dim(ch, side, codewords.shape[1])
+    mix = np.zeros((dim, dim), dtype=np.complex128)
+    for w, cw in zip(weights, codewords):
+        if w > 0.0:
+            mix += w * product_output_state(ch, cw, side).mat
+    return mix
+
+
+def _mixture_divergence(ch: CQWiretapChannel, codewords: np.ndarray,
+                        weights: np.ndarray) -> float:
+    """D(eavesdropper codebook mixture || rho(0)^{(x) n}) from one eigvalsh.
+
+    On supports log rho(0)^{(x) n} is a sum of one-letter terms, so the cross
+    term is Sum_x mass(x) tr[rho(x) log rho(0)].  Supports of products are
+    products of supports, so the result is +inf exactly when a letter used
+    with positive weight has supp rho(x) outside supp rho(0)."""
+    mix = _codebook_mixture(ch, codewords, weights, "eavesdropper")
+    mass = _letter_mass(codewords, weights, ch.k)
+    used = np.nonzero(mass)[0]
+    if not all(support_is_contained(ch.rho[x], ch.rho[0]) for x in used):
+        return float("inf")
+    log_rho0 = matrix_fn(ch.rho[0], np.log, on_support_only=True).mat
+    cross = sum(mass[x] * float(np.einsum("ij,ji->", ch.rho[x].mat, log_rho0).real)
+                for x in used)
+    entropy = _entropy_of_spectrum(np.linalg.eigvalsh(mix))
+    return _clip_nonnegative(-entropy - cross, "relative entropy")
+
+
+def _receiver_pass(ch: CQWiretapChannel, codewords: np.ndarray,
+                   weights: np.ndarray, decode: bool) -> tuple:
+    """Entropy of the receiver codebook mixture S and, with ``decode``, the
+    error of its square-root measurement (else None).  With A = S^{-1/2} on
+    supp S, codeword m succeeds with w_m^2 tr[(A sigma_m)^2]: one matrix
+    product on a state rebuilt, not kept, so memory is O(d_Y^{2n}) for any M."""
+    mix = _codebook_mixture(ch, codewords, weights, "receiver")
+    if not decode:
+        return _entropy_of_spectrum(np.linalg.eigvalsh(mix)), None
+    w, v = np.linalg.eigh(mix)
+    on = w > SUPPORT_TOL
+    inv_sqrt = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
+    success = 0.0
+    for weight, cw in zip(weights, codewords):
+        if weight > 0.0:
+            rotated = inv_sqrt @ product_output_state(ch, cw, "receiver").mat
+            success += weight * weight * float(np.einsum("ij,ji->", rotated, rotated).real)
+    return _entropy_of_spectrum(w), min(max(1.0 - success, 0.0), 1.0)
 
 
 def _check_codeword(codeword, k: int) -> np.ndarray:

@@ -6,7 +6,8 @@ command prints a JSON report carrying the schema version and the tolerance
 configuration, so results are auditable and reruns are byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 unusable channel, 4 wrong
-regime for the requested command, 5 resource cap exceeded.
+regime for the requested command, 5 resource cap exceeded or malformed,
+6 covert-rate ascent did not converge, 7 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import tolerances
+from .config import dim_cap, tolerances
 from .channel import CQWiretapChannel, InputDistribution, sanitize, validate
 from .channel_io import SCHEMA_VERSION, load_channel_data
 from .errors import (
@@ -45,6 +46,8 @@ EXIT_VALIDATION = 2
 EXIT_UNUSABLE = 3
 EXIT_WRONG_REGIME = 4
 EXIT_RESOURCE_CAP = 5
+EXIT_NOT_CONVERGED = 6
+EXIT_NUMERICAL = 7
 
 
 class _ValidationFailure(Exception):
@@ -119,9 +122,10 @@ def cmd_rate(args) -> int:
         "feasibility_residual": result.feasibility_residual,
         "iterations": result.iterations,
         "gap": result.gap,
+        "converged": result.converged,
         "removed_symbols": removed,
     }, units="bits" if args.bits else "nats"))
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_scaling_constant(args) -> int:
@@ -189,8 +193,7 @@ def cmd_simulate(args) -> int:
     seeds = _parse_int_list(args.seeds)
     reports = sqrt_law_sweep(
         ch, args.delta, n_list, m_list, args.eps_target, seeds,
-        beta=args.beta, gamma=args.gamma, theta=args.theta, s=args.s,
-        workers=args.workers,
+        beta=args.beta, gamma=args.gamma, theta=args.theta, workers=args.workers,
     )
 
     with open(args.csv_out, "w", newline="") as fh:
@@ -223,7 +226,6 @@ def cmd_simulate(args) -> int:
             "delta": args.delta, "n_list": n_list, "M_list": m_list,
             "seeds": seeds, "eps_target": args.eps_target,
             "beta": args.beta, "gamma": args.gamma, "theta": args.theta,
-            "s": args.s,
         },
         "csv_path": args.csv_out,
         "removed_symbols": removed,
@@ -241,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        # No prefix matching: a removed flag such as --s must not turn into --seeds.
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.add_argument("channel", help="channel JSON file, or - for standard input")
         p.set_defaults(func=func)
         return p
@@ -274,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--s", type=float, default=0.1)
     p.add_argument("--csv-out", default="sweep.csv", help="CSV output path (default sweep.csv)")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
@@ -283,6 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        dim_cap()
+    except ValueError as exc:
+        # Checked first, because every report embeds the cap.
+        _emit({"schema_version": SCHEMA_VERSION, "error": "resource-cap", "detail": str(exc)})
+        return EXIT_RESOURCE_CAP
     try:
         return args.func(args)
     except _ValidationFailure as exc:
@@ -302,6 +310,9 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         _emit(_envelope({"error": "resource-cap", "detail": str(exc)}))
         return EXIT_RESOURCE_CAP
+    except ArithmeticError as exc:
+        _emit(_envelope({"error": "numerical-failure", "detail": str(exc)}))
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

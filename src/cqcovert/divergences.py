@@ -77,20 +77,6 @@ def chi_squared(rho_tilde: DensityOperator, rho_zero: DensityOperator) -> Nats:
     return _clip_nonnegative(value, "chi-squared divergence")
 
 
-def chi_squared_frobenius(rho_tilde: DensityOperator, rho_zero: DensityOperator) -> Nats:
-    """Same divergence via ||rho_zero^{-1/2} (rho_tilde - rho_zero)||_F^2.
-
-    Independent code path kept as an algebraic cross-check of
-    :func:`chi_squared`; do not fold the two together.
-    """
-    w, v = np.linalg.eigh(rho_zero.mat)
-    if w[0] <= SUPPORT_TOL:
-        raise ValueError("reference state is singular")
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    diff = rho_tilde.mat - rho_zero.mat
-    return _clip_nonnegative(float(np.linalg.norm(inv_sqrt @ diff) ** 2), "chi-squared divergence")
-
-
 def holevo_information(states, dist) -> Nats:
     """H(Sum_x P(x) s_x) - Sum_x P(x) H(s_x) for an ensemble of states.
 

@@ -2,8 +2,8 @@
 
 Thin validated containers around complex numpy matrices, plus the spectral
 operations everything else is built on: eigendecomposition with degenerate
-grouping, eigenbasis matrix functions, tensor products, partial traces,
-support/positive-part projectors, and pinching.
+grouping, eigenbasis matrix functions, tensor products, positive-part
+projectors, and pinching.
 
 All containers are immutable after construction and all functions are pure,
 so values can be shared freely across threads or worker processes.
@@ -11,7 +11,6 @@ so values can be shared freely across threads or worker processes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,15 @@ class HermitianOperator:
         mat.setflags(write=False)
         self.mat = mat
 
+    @classmethod
+    def _exact(cls, mat: np.ndarray):
+        """Wrap ``mat`` without copying or symmetrizing it; only for matrices
+        that are exactly Hermitian by construction (see :func:`tensor_product`)."""
+        op = cls.__new__(cls)
+        mat.setflags(write=False)
+        op.mat = mat
+        return op
+
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -61,8 +69,8 @@ class DensityOperator(HermitianOperator):
     Eigenvalues in [-PSD_TOL, 0) are clipped to zero and the trace is
     renormalized to 1; a more negative eigenvalue, or a trace off by more
     than TRACE_TOL, is rejected.  ``validate=False`` skips the spectral
-    checks for matrices that are PSD by construction (tensor products and
-    convex mixtures of validated states).
+    checks for matrices that are PSD by construction (such as convex
+    mixtures of validated states).
     """
 
     def __init__(self, mat, validate: bool = True):
@@ -110,16 +118,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     projectors: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
 
 
 def eig_hermitian(a: HermitianOperator, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
@@ -172,16 +170,19 @@ def matrix_fn(a: HermitianOperator, f, on_support_only: bool = False) -> Hermiti
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product.  Trace-multiplicative; guarded by the dimension cap."""
+    """Kronecker product.  Trace-multiplicative; guarded by the dimension cap.
+
+    Each entry is a product a_ik b_jl, and the conjugate of a product of
+    floats is the product of the conjugates, so the Kronecker product of
+    exactly Hermitian factors is exactly Hermitian and is not re-symmetrized.
+    """
     cap = dim_cap()
     if a.dim * b.dim > cap:
         raise DimensionCapError(
             f"tensor product dimension {a.dim * b.dim} exceeds cap {cap}"
         )
-    mat = np.kron(a.mat, b.mat)
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(mat, validate=False)
-    return HermitianOperator(mat)
+    both = isinstance(a, DensityOperator) and isinstance(b, DensityOperator)
+    return (DensityOperator if both else HermitianOperator)._exact(np.kron(a.mat, b.mat))
 
 
 def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
@@ -192,40 +193,6 @@ def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
     for _ in range(n - 1):
         out = tensor_product(out, a)
     return out
-
-
-def partial_trace(a: HermitianOperator, factor_dims, keep: int) -> HermitianOperator:
-    """Marginal of ``a`` on the ``keep``-th factor of a declared product space.
-
-    ``factor_dims`` lists the dimension of each tensor factor (their product
-    must equal ``a.dim``); ``keep`` is the 0-based factor index to retain.
-    The trace is preserved.
-    """
-    dims = [int(d) for d in factor_dims]
-    if math.prod(dims) != a.dim:
-        raise ValueError(f"factor dims {dims} do not multiply to {a.dim}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep={keep} out of range for {len(dims)} factors")
-    before = math.prod(dims[:keep]) if keep > 0 else 1
-    after = math.prod(dims[keep + 1:]) if keep + 1 < len(dims) else 1
-    d = dims[keep]
-    m = a.mat.reshape(before, d, after, before, d, after)
-    out = np.einsum("aibajb->ij", m)
-    if isinstance(a, DensityOperator):
-        return DensityOperator(out, validate=False)
-    return HermitianOperator(out)
-
-
-def support_projector(a: HermitianOperator) -> Projector:
-    """Projector onto the span of eigenvectors with eigenvalue > SUPPORT_TOL.
-
-    Requires ``a`` positive semidefinite within PSD_TOL.
-    """
-    w, v = np.linalg.eigh(a.mat)
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"eigenvalue {w[0]:.3e} below the -{PSD_TOL} floor")
-    cols = v[:, w > SUPPORT_TOL]
-    return Projector(cols @ cols.conj().T, validate=False)
 
 
 def positive_part_projector(a: HermitianOperator) -> Projector:

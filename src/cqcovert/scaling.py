@@ -29,13 +29,14 @@ from .config import (
     FRANK_WOLFE_MAX_ITERS,
     KKT_TOL,
     MAX_GRID_POINTS,
-    dim_cap,
 )
 from .channel import (
     CQWiretapChannel,
     InputDistribution,
     average_output_state,
-    product_output_state,
+    _letter_mass,
+    _mixture_divergence,
+    _receiver_pass,
 )
 from .divergences import (
     _clip_nonnegative,
@@ -45,7 +46,7 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .errors import DimensionCapError, WrongRegimeError
-from .operators import DensityOperator, hermitian_to_realvec, tensor_power
+from .operators import DensityOperator, hermitian_to_realvec
 from .regime import Regime, _require_sanitized, classify, informative_symbols
 
 
@@ -331,13 +332,17 @@ def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float,
 
 @dataclass(frozen=True)
 class RateResult:
-    """Covert capacity in the positive-rate regime, in nats per channel use."""
+    """Covert capacity in the positive-rate regime, in nats per channel use.
+
+    ``converged`` is whether the final duality gap is below FRANK_WOLFE_GAP_TOL.
+    """
 
     rate: float
     optimizer: InputDistribution
     feasibility_residual: float
     iterations: int
     gap: float
+    converged: bool
 
 
 def covert_rate(ch: CQWiretapChannel) -> RateResult:
@@ -358,6 +363,7 @@ def covert_rate(ch: CQWiretapChannel) -> RateResult:
             feasibility_residual=0.0,
             iterations=0,
             gap=0.0,
+            converged=True,
         )
 
     columns = np.stack([hermitian_to_realvec(r.mat) for r in ch.rho], axis=1)
@@ -411,6 +417,7 @@ def covert_rate(ch: CQWiretapChannel) -> RateResult:
         feasibility_residual=residual,
         iterations=iterations,
         gap=gap,
+        converged=gap < FRANK_WOLFE_GAP_TOL,
     )
 
 
@@ -527,41 +534,28 @@ def converse_chain(ch: CQWiretapChannel, codewords, weights,
         raise ValueError("one weight per codeword required")
     if abs(weights.sum() - 1.0) > 1e-10 or weights.min() < 0.0:
         raise ValueError("weights must form a probability vector")
-    n = codewords.shape[1]
-    cap = dim_cap()
-    if ch.receiver_dim ** n > cap or ch.eavesdropper_dim ** n > cap:
-        raise DimensionCapError(f"n = {n} letters exceed the dimension cap {cap}")
+    receiver_entropy, _ = _receiver_pass(ch, codewords, weights, decode=False)
+    div_joint = _mixture_divergence(ch, codewords, weights)
+    return _chain_from_joint_terms(ch, codewords, weights, receiver_entropy, div_joint, strict)
 
-    sigma_entropy = [von_neumann_entropy(s) for s in ch.sigma]
+
+def _chain_from_joint_terms(ch, codewords, weights, receiver_entropy: float,
+                            div_joint: float, strict: bool = True) -> ConverseChainReport:
+    """Both chains around their two n-letter terms, computed by the caller:
+    the receiver mixture's entropy and the eavesdropper mixture's divergence."""
+    n = codewords.shape[1]
+    sigma_entropy = np.array([von_neumann_entropy(s) for s in ch.sigma])
     marginals = [
         np.bincount(codewords[:, i], weights=weights, minlength=ch.k)
         for i in range(n)
     ]
     p_bar = np.mean(marginals, axis=0)
 
-    dim_y = ch.receiver_dim ** n
-    joint_sigma = np.zeros((dim_y, dim_y), dtype=np.complex128)
-    conditional = 0.0
-    for w, cw in zip(weights, codewords):
-        if w == 0.0:
-            continue
-        joint_sigma += w * product_output_state(ch, cw, "receiver").mat
-        conditional += w * sum(sigma_entropy[x] for x in cw)
-    holevo_joint = _clip_nonnegative(
-        von_neumann_entropy(DensityOperator(joint_sigma, validate=False)) - conditional,
-        "joint Holevo information",
-    )
+    conditional = float(_letter_mass(codewords, weights, ch.k) @ sigma_entropy)
+    holevo_joint = _clip_nonnegative(receiver_entropy - conditional, "joint Holevo information")
     holevo_marginal_sum = float(sum(holevo_information(ch.sigma, p) for p in marginals))
     holevo_avg_scaled = n * holevo_information(ch.sigma, p_bar)
 
-    dim_z = ch.eavesdropper_dim ** n
-    joint_rho = np.zeros((dim_z, dim_z), dtype=np.complex128)
-    for w, cw in zip(weights, codewords):
-        if w == 0.0:
-            continue
-        joint_rho += w * product_output_state(ch, cw, "eavesdropper").mat
-    idle = tensor_power(ch.rho[0], n)
-    div_joint = relative_entropy(DensityOperator(joint_rho, validate=False), idle)
     div_marginal_sum = float(sum(
         relative_entropy(average_output_state(ch, p, "eavesdropper"), ch.rho[0])
         for p in marginals

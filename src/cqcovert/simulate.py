@@ -22,18 +22,19 @@ from typing import Optional
 
 import numpy as np
 
-from .config import SUPPORT_TOL, dim_cap
+from .config import SUPPORT_TOL
 from .channel import (
     CQWiretapChannel,
     InputDistribution,
     average_output_state,
     product_output_state,
     _check_codeword,
+    _mixture_divergence,
+    _receiver_pass,
 )
-from .divergences import chi_squared, holevo_information, relative_entropy
+from .divergences import chi_squared, relative_entropy
 from .errors import DimensionCapError, WrongRegimeError
 from .operators import (
-    DensityOperator,
     HermitianOperator,
     matrix_fn,
     pinch,
@@ -41,7 +42,7 @@ from .operators import (
     tensor_power,
 )
 from .regime import Regime, classify
-from .scaling import ConverseChainReport, converse_chain, scaling_constant
+from .scaling import ConverseChainReport, _chain_from_joint_terms, scaling_constant
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class SimParams:
     """Knobs of one simulation cell.
 
     ``delta`` is the covertness budget in nats; ``beta``, ``gamma`` and
-    ``theta`` are the slack constants of the construction, each in (0, 1);
-    ``s`` is the exponent-diagnostic parameter in (0, 1).
+    ``theta`` are the slack constants of the construction, each in (0, 1).
     """
 
     delta: float
@@ -60,12 +60,11 @@ class SimParams:
     beta: float = 0.5
     gamma: float = 0.5
     theta: float = 0.5
-    s: float = 0.1
 
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError("covertness budget must be positive")
-        for name in ("beta", "gamma", "theta", "s"):
+        for name in ("beta", "gamma", "theta"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
@@ -164,18 +163,14 @@ def sample_codebook(pn: InputDistribution, n: int, num_messages: int, seed: int)
                     sampling_distribution=pn)
 
 
+def _uniform(cb: Codebook) -> np.ndarray:
+    return np.full(cb.num_messages, 1.0 / cb.num_messages)
+
+
 def covertness_divergence(ch: CQWiretapChannel, cb: Codebook) -> float:
     """Exact divergence of the realized codebook's eavesdropper mixture from
-    the idle product state."""
-    dim = ch.eavesdropper_dim ** cb.n
-    if dim > dim_cap():
-        raise DimensionCapError(f"eavesdropper space of dimension {dim} exceeds the cap")
-    mixture = np.zeros((dim, dim), dtype=np.complex128)
-    for cw in cb.codewords:
-        mixture += product_output_state(ch, cw, "eavesdropper").mat
-    mixture /= cb.num_messages
-    idle = tensor_power(ch.rho[0], cb.n)
-    return relative_entropy(DensityOperator(mixture, validate=False), idle)
+    the idle product state (one eigvalsh; see ``channel._mixture_divergence``)."""
+    return _mixture_divergence(ch, cb.codewords, _uniform(cb))
 
 
 def pgm_error_probability(ch: CQWiretapChannel, cb: Codebook) -> float:
@@ -186,21 +181,7 @@ def pgm_error_probability(ch: CQWiretapChannel, cb: Codebook) -> float:
     declared decoding failure.  Duplicate codewords are legal and share
     their success probability through the measurement itself.
     """
-    dim = ch.receiver_dim ** cb.n
-    if dim > dim_cap():
-        raise DimensionCapError(f"receiver space of dimension {dim} exceeds the cap")
-    outputs = [product_output_state(ch, cw, "receiver").mat for cw in cb.codewords]
-    m = cb.num_messages
-    avg = sum(outputs) / m
-    w, v = np.linalg.eigh(avg)
-    on = w > SUPPORT_TOL
-    inv_sqrt = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
-    success = 0.0
-    for out in outputs:
-        rotated = inv_sqrt @ out @ inv_sqrt
-        success += float(np.einsum("ij,ji->", rotated, out).real) / m
-    error = 1.0 - success / m
-    return min(max(error, 0.0), 1.0)
+    return _receiver_pass(ch, cb.codewords, _uniform(cb), decode=True)[1]
 
 
 def type_set_membership(codeword, gamma: float, pn: InputDistribution) -> bool:
@@ -302,20 +283,18 @@ def _run_cell(ch, nonzero_dist, params: SimParams, eps_target: float,
         covert = covertness_divergence(ch, cb)
         mix = average_output_state(ch, pn, "eavesdropper")
         covert_avg = n * relative_entropy(mix, ch.rho[0])
-        epsilon = pgm_error_probability(ch, cb) if m > 1 else 0.0
+        weights = _uniform(cb)
+        entropy, error = _receiver_pass(ch, cb.codewords, weights, decode=m > 1)
+        epsilon = error if m > 1 else 0.0
         k_n = math.log(m)
         normalized = k_n / math.sqrt(n * params.delta)
 
-        weights = np.full(m, 1.0 / m)
-        chain = converse_chain(ch, cb.codewords, weights)
-        marginals = np.mean([
-            np.bincount(cb.codewords[:, i], minlength=ch.k) / m for i in range(n)
-        ], axis=0)
-        chi_bar = holevo_information(ch.sigma, marginals)
+        chain = _chain_from_joint_terms(ch, cb.codewords, weights, entropy, covert)
         if epsilon >= 1.0 - 1e-12:
             bound = float("inf")
         else:
-            bound = (n * chi_bar + 1.0) / ((1.0 - epsilon) * math.sqrt(n * params.delta))
+            bound = ((chain.holevo_avg_scaled + 1.0)
+                     / ((1.0 - epsilon) * math.sqrt(n * params.delta)))
 
         return SimulationReport(
             n=n, num_messages=m, seed=seed,
@@ -340,8 +319,7 @@ def _run_cell(ch, nonzero_dist, params: SimParams, eps_target: float,
 
 def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
                    eps_target: float, seeds, beta: float = 0.5,
-                   gamma: float = 0.5, theta: float = 0.5, s: float = 0.1,
-                   workers: int = 1) -> list:
+                   gamma: float = 0.5, theta: float = 0.5, workers: int = 1) -> list:
     """Simulate every (n, M, seed) cell and report the full table.
 
     The nonzero-symbol distribution is the scaling-constant optimizer of
@@ -359,7 +337,7 @@ def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
 
     cells = [
         SimParams(delta=delta, n=int(n), num_messages=int(m), seed=int(seed),
-                  beta=beta, gamma=gamma, theta=theta, s=s)
+                  beta=beta, gamma=gamma, theta=theta)
         for n in n_list for m in m_list for seed in seeds
     ]
     if workers > 1:

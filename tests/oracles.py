@@ -1,13 +1,22 @@
-"""Independent scalar-formula oracles.
+"""Independent oracles and dense references.
 
-Everything here works on plain probability vectors, deliberately avoiding
-the package's operator machinery, so simultaneously-diagonal (classical)
-channels can be checked against a second code path.
+The scalar-formula oracles work on plain probability vectors, deliberately
+avoiding the package's operator machinery, so simultaneously-diagonal
+(classical) channels can be checked against a second code path.
+
+The dense n-letter references build every n-letter matrix explicitly: each
+codeword state, both codebook mixtures and the idle tensor power.  They use
+none of the package's product-structure shortcuts (the additive logarithm of
+the idle state, the per-letter support rule, the streamed square-root
+measurement), only its single-letter functionals on the dense matrices.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
+
+import cqcovert as cq
 
 
 def entropy(p) -> float:
@@ -78,3 +87,82 @@ def kubo_mori_quadratic(rho0_mat, tilde_mat) -> float:
                 coeff = (math.log(w[i]) - math.log(w[j])) / (w[i] - w[j])
             total += abs(x[i, j]) ** 2 * coeff
     return total
+
+
+def dense_mixture(states, codewords, weights) -> np.ndarray:
+    """Sum_m w_m (x)_i states[x_mi], with every Kronecker product built."""
+    return sum(w * reduce(np.kron, [states[x].mat for x in cw])
+               for w, cw in zip(weights, codewords))
+
+
+def dense_covertness_divergence(ch, codewords, weights) -> float:
+    """D(eavesdropper mixture || rho0^{(x) n}) against the explicit tensor power."""
+    mix = cq.DensityOperator(dense_mixture(ch.rho, codewords, weights), validate=False)
+    return cq.relative_entropy(mix, cq.tensor_power(ch.rho[0], np.shape(codewords)[1]))
+
+
+def dense_pgm_error(ch, codewords) -> float:
+    """Square-root-measurement error for equiprobable codewords, with every
+    codeword state held and the two-sided product S^{-1/2} sigma S^{-1/2}."""
+    outputs = [reduce(np.kron, [ch.sigma[x].mat for x in cw]) for cw in codewords]
+    m = len(outputs)
+    w, v = np.linalg.eigh(sum(outputs) / m)
+    on = w > 1e-12
+    inv_sqrt = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
+    success = sum(float(np.einsum("ij,ji->", inv_sqrt @ out @ inv_sqrt, out).real)
+                  for out in outputs) / (m * m)
+    return min(max(1.0 - success, 0.0), 1.0)
+
+
+def dense_joint_terms(ch, codewords, weights) -> tuple:
+    """(holevo_joint, div_joint) of the converse chain, both mixtures rebuilt."""
+    conditional = sum(w * sum(cq.von_neumann_entropy(ch.sigma[x]) for x in cw)
+                      for w, cw in zip(weights, codewords))
+    joint = cq.DensityOperator(dense_mixture(ch.sigma, codewords, weights), validate=False)
+    holevo = max(cq.von_neumann_entropy(joint) - conditional, 0.0)
+    return holevo, dense_covertness_divergence(ch, codewords, weights)
+
+
+def chi_squared_frobenius(rho_tilde, rho_zero) -> float:
+    """chi-squared divergence via ||rho_zero^{-1/2} (rho_tilde - rho_zero)||_F^2.
+
+    Independent code path kept as an algebraic cross-check of
+    :func:`cqcovert.chi_squared`; do not fold the two together.
+    """
+    w, v = np.linalg.eigh(rho_zero.mat)
+    if w[0] <= 1e-12:
+        raise ValueError("reference state is singular")
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    diff = rho_tilde.mat - rho_zero.mat
+    return float(np.linalg.norm(inv_sqrt @ diff) ** 2)
+
+
+def partial_trace(a, factor_dims, keep: int):
+    """Marginal of ``a`` on the ``keep``-th factor of a declared product space.
+
+    ``factor_dims`` lists the dimension of each tensor factor (their product
+    must equal ``a.dim``); ``keep`` is the 0-based factor index to retain.
+    The trace is preserved.
+    """
+    dims = [int(d) for d in factor_dims]
+    if math.prod(dims) != a.dim:
+        raise ValueError(f"factor dims {dims} do not multiply to {a.dim}")
+    if not 0 <= keep < len(dims):
+        raise ValueError(f"keep={keep} out of range for {len(dims)} factors")
+    before = math.prod(dims[:keep])
+    after = math.prod(dims[keep + 1:])
+    d = dims[keep]
+    out = np.einsum("aibajb->ij", a.mat.reshape(before, d, after, before, d, after))
+    if isinstance(a, cq.DensityOperator):
+        return cq.DensityOperator(out, validate=False)
+    return cq.HermitianOperator(out)
+
+
+def support_projector(a):
+    """Projector onto the span of eigenvectors with eigenvalue > 1e-12;
+    ``a`` must be positive semidefinite within 1e-10."""
+    w, v = np.linalg.eigh(a.mat)
+    if w[0] < -1e-10:
+        raise ValueError(f"eigenvalue {w[0]:.3e} below the -1e-10 floor")
+    cols = v[:, w > 1e-12]
+    return cq.Projector(cols @ cols.conj().T, validate=False)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import cqcovert as cq
 from cqcovert.channel_io import load_channel_data, matrix_to_pairs, save_channel
 from cqcovert.cli import main
 
 from helpers import (
     mixture_example_channel,
     off_support_example_channel,
+    random_density,
     two_symbol_example_channel,
 )
 
@@ -114,10 +116,52 @@ def test_rate_positive_channel_with_bits(tmp_path, capsys):
     assert code == 0
     assert payload["rate"] == pytest.approx(math.log(2), abs=1e-9)
     assert payload["feasibility_residual"] <= 1e-8
+    assert payload["converged"] is True
 
     code, payload = run(capsys, ["rate", path, "--bits"])
     assert payload["units"] == "bits"
     assert payload["rate"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_rate_reports_non_convergence(tmp_path, capsys, monkeypatch):
+    # a positive-rate channel whose classify witness is not optimal
+    rng = np.random.default_rng(9)
+    components = [random_density(rng, 2, floor=0.2) for _ in range(3)]
+    weights = rng.dirichlet(np.ones(3))
+    rho0 = cq.DensityOperator(sum(w * c.mat for w, c in zip(weights, components)))
+    sigma = [random_density(rng, 2) for _ in range(4)]
+    path = write_channel(tmp_path, cq.CQWiretapChannel(sigma, [rho0] + components))
+    code, payload = run(capsys, ["rate", path])
+    assert code == 0
+    assert payload["converged"] is True and payload["iterations"] >= 2
+
+    monkeypatch.setattr("cqcovert.scaling.FRANK_WOLFE_MAX_ITERS", 1)
+    code, payload = run(capsys, ["rate", path])
+    assert code == 6
+    assert payload["converged"] is False
+    assert payload["iterations"] == 1
+    assert payload["gap"] >= payload["tolerances"]["frank_wolfe_gap_tol"]
+
+
+def test_numerical_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
+    def failing_solver(ch):
+        raise ArithmeticError("quadratic program failed: Positive directional derivative")
+
+    monkeypatch.setattr("cqcovert.cli.scaling_constant", failing_solver)
+    path = write_channel(tmp_path, two_symbol_example_channel())
+    code, payload = run(capsys, ["scaling-constant", path])
+    assert code == 7
+    assert payload["error"] == "numerical-failure"
+    assert "quadratic program failed" in payload["detail"]
+
+
+def test_malformed_dim_cap_is_a_json_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CQCOVERT_DIM_CAP", "abc")
+    path = write_channel(tmp_path, two_symbol_example_channel())
+    code, payload = run(capsys, ["classify", path])
+    assert code == 5
+    assert payload["error"] == "resource-cap"
+    assert "CQCOVERT_DIM_CAP" in payload["detail"]
 
 
 def test_scaling_constant_command(tmp_path, capsys):
@@ -194,6 +238,17 @@ def test_simulate_command(tmp_path, capsys):
     main(argv)
     capsys.readouterr()
     assert open(csv_path).read() == first_csv
+    assert "s" not in payload["params"]
+
+
+def test_simulate_rejects_removed_s_flag(tmp_path, capsys):
+    path = write_channel(tmp_path, two_symbol_example_channel())
+    argv = ["simulate", path, "--delta", "0.05", "--n-list", "2", "--m-list", "2",
+            "--seeds", "0", "--csv-out", str(tmp_path / "sweep.csv"), "--s", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--s" in capsys.readouterr().err
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from helpers import (
     mixture_example_channel,
     permuted_channel,
     random_density,
+    random_channel,
     random_diagonal_channel,
     random_square_root_channel,
     random_unitary,
@@ -337,6 +338,20 @@ def test_converse_chain_random_ensembles_ordered():
         codewords = rng.integers(0, 2, size=(2, 3))
         weights = rng.dirichlet(np.ones(2))
         report = cq.converse_chain(ch, codewords, weights)
+        assert report.receiver_ok and report.eavesdropper_ok
+
+
+def test_converse_chain_matches_dense_references():
+    rng = np.random.default_rng(16)
+    for n in range(2, 9):
+        ch = random_channel(rng, 3, 2, 2)
+        m = int(rng.integers(1, 6))
+        codewords = rng.integers(0, 3, size=(m, n))
+        weights = rng.dirichlet(np.ones(m))
+        report = cq.converse_chain(ch, codewords, weights, strict=False)
+        holevo, div = oracles.dense_joint_terms(ch, codewords, weights)
+        assert report.holevo_joint == pytest.approx(holevo, abs=1e-10)
+        assert report.div_joint == pytest.approx(div, abs=1e-10)
         assert report.receiver_ok and report.eavesdropper_ok
 
 

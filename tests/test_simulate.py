@@ -7,7 +7,14 @@ import scipy.linalg
 import cqcovert as cq
 from cqcovert.errors import WrongRegimeError
 
-from helpers import diag_state, random_square_root_channel, two_symbol_example_channel
+import oracles
+from helpers import (
+    diag_state,
+    random_channel,
+    random_density,
+    random_square_root_channel,
+    two_symbol_example_channel,
+)
 
 D1 = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
 
@@ -101,6 +108,47 @@ def test_covertness_divergence_against_logm_path():
     idle = np.kron(ch.rho[0].mat, ch.rho[0].mat)
     direct = np.trace(mixture @ (scipy.linalg.logm(mixture) - scipy.linalg.logm(idle))).real
     assert value == pytest.approx(direct, abs=1e-9)
+
+
+def test_n_letter_passes_match_dense_references():
+    # Ginibre letters: the eavesdropper states do not commute with rho(0).
+    rng = np.random.default_rng(41)
+    for dy, dz, n_max in ((2, 2, 8), (3, 3, 4)):
+        ch = random_channel(rng, 3, dy, dz)
+        for n in range(2, n_max + 1):
+            for m in (1, 2, 4, 8):
+                codewords = rng.integers(0, 3, size=(m, n))
+                cb = cq.Codebook(n=n, num_messages=m, codewords=codewords,
+                                 sampling_distribution=cq.InputDistribution([1 / 3] * 3))
+                uniform = np.full(m, 1.0 / m)
+                assert cq.covertness_divergence(ch, cb) == pytest.approx(
+                    oracles.dense_covertness_divergence(ch, codewords, uniform), abs=1e-10)
+                assert cq.pgm_error_probability(ch, cb) == pytest.approx(
+                    oracles.dense_pgm_error(ch, codewords), abs=1e-10)
+
+
+def test_covertness_divergence_support_rule_on_unsanitized_channel():
+    # rho(0) has rank 2 in dimension 3; rho(1) lives on its support without
+    # commuting with it, rho(2) leaks out of it.
+    inner = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+    rho = [diag_state(0.5, 0.5, 0.0),
+           cq.DensityOperator(np.pad(inner, ((0, 1), (0, 1)))),
+           diag_state(0.2, 0.3, 0.5)]
+    rng = np.random.default_rng(43)
+    ch = cq.CQWiretapChannel([random_density(rng, 2) for _ in range(3)], rho)
+    inside = np.array([[1, 0, 1], [0, 1, 1]])
+    leaking = np.array([[1, 0, 1], [0, 2, 0]])
+    pn = cq.InputDistribution([1 / 3] * 3)
+    finite = cq.covertness_divergence(ch, cq.Codebook(3, 2, inside, pn))
+    assert np.isfinite(finite)
+    assert finite == pytest.approx(
+        oracles.dense_covertness_divergence(ch, inside, [0.5, 0.5]), abs=1e-10)
+    assert cq.covertness_divergence(ch, cq.Codebook(3, 2, leaking, pn)) == float("inf")
+    assert oracles.dense_covertness_divergence(ch, leaking, [0.5, 0.5]) == float("inf")
+    # a leaking letter that only a zero-weight codeword uses does not count
+    chain = cq.converse_chain(ch, leaking, [1.0, 0.0], strict=False)
+    assert chain.div_joint == pytest.approx(
+        oracles.dense_covertness_divergence(ch, leaking, [1.0, 0.0]), abs=1e-10)
 
 
 def test_pgm_orthogonal_and_identical_codewords():
@@ -239,6 +287,27 @@ def test_sweep_single_message_and_determinism():
     assert again == reports
 
 
+def test_sweep_matches_dense_references():
+    rng = np.random.default_rng(44)
+    ch = random_square_root_channel(rng, 3, 2, 2)
+    delta, beta = 0.05, 0.5
+    reports = cq.sqrt_law_sweep(ch, delta, [2, 5, 8], [1, 2, 4], 0.1, [0, 1], beta=beta)
+    nonzero = cq.scaling_constant(ch).optimizer
+    for r in reports:
+        alpha = cq.alpha_n(ch, nonzero, delta, r.n, beta)
+        pn = cq.build_input_distribution(alpha, nonzero)
+        codewords = cq.sample_codebook(pn, r.n, r.num_messages, r.seed).codewords
+        uniform = np.full(r.num_messages, 1.0 / r.num_messages)
+        holevo, div = oracles.dense_joint_terms(ch, codewords, uniform)
+        assert r.covert_div == pytest.approx(div, abs=1e-10)
+        assert r.chain.div_joint == pytest.approx(div, abs=1e-10)
+        assert r.chain.holevo_joint == pytest.approx(holevo, abs=1e-10)
+        epsilon = oracles.dense_pgm_error(ch, codewords) if r.num_messages > 1 else 0.0
+        assert r.epsilon_n == pytest.approx(epsilon, abs=1e-10)
+        bound = (r.chain.holevo_avg_scaled + 1.0) / ((1.0 - epsilon) * math.sqrt(r.n * delta))
+        assert r.converse_bound == pytest.approx(bound, rel=1e-10)
+
+
 def test_sweep_skips_cells_over_the_cap():
     ch = two_symbol_example_channel()
     reports = cq.sqrt_law_sweep(ch, 0.05, [2, 13], [2], 0.5, [0])
@@ -250,10 +319,11 @@ def test_sweep_skips_cells_over_the_cap():
 
 
 def test_sweep_parallel_matches_serial():
-    ch = two_symbol_example_channel()
-    serial = cq.sqrt_law_sweep(ch, 0.05, [2], [2], 0.5, [0, 1], workers=1)
-    parallel = cq.sqrt_law_sweep(ch, 0.05, [2], [2], 0.5, [0, 1], workers=2)
-    assert serial == parallel
+    noncommuting = random_square_root_channel(np.random.default_rng(45), 3, 2, 2)
+    for ch, n_list in ((two_symbol_example_channel(), [2]), (noncommuting, [2, 6])):
+        serial = cq.sqrt_law_sweep(ch, 0.05, n_list, [1, 4], 0.5, [0, 1], workers=1)
+        parallel = cq.sqrt_law_sweep(ch, 0.05, n_list, [1, 4], 0.5, [0, 1], workers=2)
+        assert serial == parallel
 
 
 def test_sweep_rejects_wrong_regime():
