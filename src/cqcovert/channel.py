@@ -12,11 +12,11 @@ space so rho(0) becomes full rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .config import (
+    COMMUTE_TOL,
     HERMITICITY_TOL,
     PSD_TOL,
     SUPPORT_TOL,
@@ -142,10 +142,11 @@ class ChannelDiagnostics:
 def validate(sigma_mats, rho_mats) -> ChannelDiagnostics:
     """Diagnose raw channel matrices against the model invariants.
 
-    Checks alphabet consistency, per-matrix shape, hermiticity within
-    HERMITICITY_TOL, unit trace within TRACE_TOL, and positive
-    semidefiniteness within PSD_TOL.  Returns a diagnostics object rather
-    than raising, so callers can report every problem at once.
+    Checks alphabet consistency, finite entries (else no further check),
+    per-matrix shape, hermiticity within HERMITICITY_TOL, unit trace within
+    TRACE_TOL, and positive semidefiniteness within PSD_TOL.  Returns a
+    diagnostics object rather than raising, so callers can report every
+    problem at once.
     """
     diag = ChannelDiagnostics()
     if len(sigma_mats) != len(rho_mats):
@@ -158,6 +159,10 @@ def validate(sigma_mats, rho_mats) -> ChannelDiagnostics:
         dims = []
         for i, raw in enumerate(mats):
             m = np.asarray(raw, dtype=np.complex128)
+            bad = m.size - int(np.isfinite(m).sum())
+            if bad:
+                diag.add("non-finite", side, i, f"{bad} of {m.size} entries are NaN or infinite")
+                continue
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 diag.add("shape", side, i, f"matrix has shape {m.shape}")
                 continue
@@ -225,8 +230,8 @@ def product_output_state(ch: CQWiretapChannel, codeword, side: str) -> DensityOp
     one cap check; exactly Hermitian (see ``operators.tensor_product``)."""
     symbols = _check_codeword(codeword, ch.k)
     _n_letter_dim(ch, side, len(symbols))
-    states = ch.states(side)
-    return DensityOperator._exact(reduce(np.kron, [states[x].mat for x in symbols]))
+    factor = _kron_factors([s.mat for s in ch.states(side)])
+    return DensityOperator._exact(factor(tuple(symbols.tolist())))
 
 
 def average_output_state(ch: CQWiretapChannel, dist, side: str) -> DensityOperator:
@@ -257,34 +262,68 @@ def _letter_mass(codewords: np.ndarray, weights: np.ndarray, k: int) -> np.ndarr
     return np.bincount(codewords.ravel(), weights=np.repeat(weights, n), minlength=k)
 
 
-def _codebook_mixture(ch: CQWiretapChannel, codewords: np.ndarray,
-                      weights: np.ndarray, side: str) -> np.ndarray:
-    """Sum_m w_m (n-letter output state of codeword m) on ``side``, as an array."""
-    dim = _n_letter_dim(ch, side, codewords.shape[1])
-    mix = np.zeros((dim, dim), dtype=np.complex128)
-    for w, cw in zip(weights, codewords):
+def _kron_factors(letters):
+    """Memoized Kronecker product of ``letters`` (matrices, or the diagonals
+    of commuting states) along a letter tuple, built on its longest prefix."""
+    memo = {(): np.ones((1,) * letters[0].ndim)}
+
+    def factor(word: tuple):
+        # Iterative, so no reference cycle keeps the memo alive after the call.
+        for end in range(1, len(word) + 1):
+            if word[:end] not in memo:
+                memo[word[:end]] = np.kron(memo[word[:end - 1]], letters[word[end - 1]])
+        return memo[word]
+
+    return factor
+
+
+def _codebook_mixture(factor, codewords: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum_m w_m (x)_i letters[x_mi] over the codewords of positive weight.
+
+    Each codeword splits into a head, its first n // 2 letters, and a tail, so
+    the sum is Sum_head P_head (x) (Sum_tail w Q_tail): one full-size
+    Kronecker product per distinct head."""
+    h = codewords.shape[1] // 2
+    tails = {}
+    for w, word in zip(weights, codewords.tolist()):
         if w > 0.0:
-            mix += w * product_output_state(ch, cw, side).mat
+            tails.setdefault(tuple(word[:h]), []).append((w, tuple(word[h:])))
+    mix = 0.0
+    for head, group in tails.items():
+        mix += np.kron(factor(head), sum(w * factor(tail) for w, tail in group))
     return mix
+
+
+def _letter_factors(states) -> list:
+    """Per-letter Kronecker factors: the diagonals of ``states`` in the eigenbasis
+    of Sum_x state(x) / sqrt(x + 2), a generic combination, or their matrices
+    when some state is off-diagonal there by more than COMMUTE_TOL."""
+    _, u = np.linalg.eigh(sum(s.mat / np.sqrt(x + 2.0) for x, s in enumerate(states)))
+    rotated = [u.conj().T @ s.mat @ u for s in states]
+    if max(np.abs(r - np.diag(np.diag(r))).max() for r in rotated) > COMMUTE_TOL:
+        return [s.mat for s in states]
+    return [np.diag(r).real.copy() for r in rotated]
 
 
 def _mixture_divergence(ch: CQWiretapChannel, codewords: np.ndarray,
                         weights: np.ndarray) -> float:
-    """D(eavesdropper codebook mixture || rho(0)^{(x) n}) from one eigvalsh.
+    """D(eavesdropper codebook mixture || rho(0)^{(x) n}).
 
     On supports log rho(0)^{(x) n} is a sum of one-letter terms, so the cross
     term is Sum_x mass(x) tr[rho(x) log rho(0)].  Supports of products are
     products of supports, so the result is +inf exactly when a letter used
-    with positive weight has supp rho(x) outside supp rho(0)."""
-    mix = _codebook_mixture(ch, codewords, weights, "eavesdropper")
+    with positive weight has supp rho(x) outside supp rho(0).  Commuting
+    letters give a probability vector, others a matrix for one eigvalsh."""
+    _n_letter_dim(ch, "eavesdropper", codewords.shape[1])
     mass = _letter_mass(codewords, weights, ch.k)
     used = np.nonzero(mass)[0]
     if not all(support_is_contained(ch.rho[x], ch.rho[0]) for x in used):
         return float("inf")
     log_rho0 = matrix_fn(ch.rho[0], np.log, on_support_only=True).mat
-    cross = sum(mass[x] * float(np.einsum("ij,ji->", ch.rho[x].mat, log_rho0).real)
+    cross = sum(float(mass[x]) * float(np.einsum("ij,ji->", ch.rho[x].mat, log_rho0).real)
                 for x in used)
-    entropy = _entropy_of_spectrum(np.linalg.eigvalsh(mix))
+    mix = _codebook_mixture(_kron_factors(_letter_factors(ch.rho)), codewords, weights)
+    entropy = _entropy_of_spectrum(mix if mix.ndim == 1 else np.linalg.eigvalsh(mix))
     return _clip_nonnegative(-entropy - cross, "relative entropy")
 
 
@@ -292,20 +331,35 @@ def _receiver_pass(ch: CQWiretapChannel, codewords: np.ndarray,
                    weights: np.ndarray, decode: bool) -> tuple:
     """Entropy of the receiver codebook mixture S and, with ``decode``, the
     error of its square-root measurement (else None).  With A = S^{-1/2} on
-    supp S, codeword m succeeds with w_m^2 tr[(A sigma_m)^2]: one matrix
-    product on a state rebuilt, not kept, so memory is O(d_Y^{2n}) for any M."""
-    mix = _codebook_mixture(ch, codewords, weights, "receiver")
+    supp S, codeword m succeeds with w_m^2 tr[(A sigma_m)^2], computed from
+    its head and tail factors (``_factored_success``); equal codewords have
+    equal terms, so each is evaluated once with weight Sum w_m^2."""
+    _n_letter_dim(ch, "receiver", codewords.shape[1])
+    factor = _kron_factors([s.mat for s in ch.sigma])
+    mix = _codebook_mixture(factor, codewords, weights)
     if not decode:
         return _entropy_of_spectrum(np.linalg.eigvalsh(mix)), None
     w, v = np.linalg.eigh(mix)
+    del mix
     on = w > SUPPORT_TOL
     inv_sqrt = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
-    success = 0.0
-    for weight, cw in zip(weights, codewords):
-        if weight > 0.0:
-            rotated = inv_sqrt @ product_output_state(ch, cw, "receiver").mat
-            success += weight * weight * float(np.einsum("ij,ji->", rotated, rotated).real)
+    del v
+    squared = {}
+    for weight, word in zip(weights, map(tuple, codewords.tolist())):
+        squared[word] = squared.get(word, 0.0) + float(weight) ** 2
+    h = codewords.shape[1] // 2
+    success = sum(weight_sq * _factored_success(inv_sqrt, factor(word[:h]), factor(word[h:]))
+                  for word, weight_sq in squared.items() if weight_sq > 0.0)
     return _entropy_of_spectrum(w), min(max(1.0 - success, 0.0), 1.0)
+
+
+def _factored_success(inv_sqrt: np.ndarray, head: np.ndarray, tail: np.ndarray) -> float:
+    """tr[(A sigma)^2] = tr[(sigma A)^2] for sigma = P (x) Q, by two mode
+    products on A's rows: O(D^2 (a + b)) work, two D x D temporaries."""
+    dim, a, b = inv_sqrt.shape[0], head.shape[0], tail.shape[0]
+    t = (head @ inv_sqrt.reshape(a, b * dim)).reshape(a, b, dim)
+    w = np.matmul(tail, t).reshape(dim, dim)
+    return float(np.einsum("ij,ji->", w, w).real)
 
 
 def _check_codeword(codeword, k: int) -> np.ndarray:

@@ -7,7 +7,8 @@ configuration, so results are auditable and reruns are byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 unusable channel, 4 wrong
 regime for the requested command, 5 resource cap exceeded or malformed,
-6 covert-rate ascent did not converge, 7 numerical failure.
+6 covert-rate ascent did not converge, 7 numerical failure, 8 invalid
+command-line argument.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .scaling import (
     scaling_constant,
     scaling_constant_grid_oracle,
 )
-from .simulate import sqrt_law_sweep
+from .simulate import SimParams, sqrt_law_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,12 +49,17 @@ EXIT_WRONG_REGIME = 4
 EXIT_RESOURCE_CAP = 5
 EXIT_NOT_CONVERGED = 6
 EXIT_NUMERICAL = 7
+EXIT_INVALID_ARGUMENT = 8
 
 
 class _ValidationFailure(Exception):
     def __init__(self, diagnostics):
         super().__init__("channel failed validation")
         self.diagnostics = diagnostics
+
+
+class _InvalidArgument(Exception):
+    """A command-line value that parses but is out of range, or does not parse."""
 
 
 def _envelope(body: dict, units: str = "nats") -> dict:
@@ -154,8 +160,9 @@ def cmd_scaling_constant(args) -> int:
 
 
 def cmd_expansion_check(args) -> int:
+    alphas = _parse_list(args.alphas, "--alphas", float, lambda a: 0.0 < a <= 0.1,
+                         "numbers in (0, 0.1]")
     ch, removed = _load_sanitized(args.channel)
-    alphas = [float(a) for a in args.alphas.split(",")]
     # Perturb toward the uniform mixture of the nonzero symbols.
     probs = np.zeros(ch.k)
     probs[1:] = 1.0 / (ch.k - 1)
@@ -182,15 +189,26 @@ def cmd_expansion_check(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(v) for v in text.split(",") if v != ""]
+def _parse_list(text: str, flag: str, convert, valid, what: str) -> list:
+    """Comma-separated values of ``flag``; each must convert and be ``valid``."""
+    try:
+        values = [convert(item) for item in text.split(",") if item != ""]
+    except ValueError:
+        values = []
+    if not values or not all(valid(v) for v in values):
+        raise _InvalidArgument(f"{flag} must be a comma-separated list of {what}, got {text!r}")
+    return values
 
 
 def cmd_simulate(args) -> int:
+    n_list = _parse_list(args.n_list, "--n-list", int, lambda v: v >= 1, "integers >= 1")
+    m_list = _parse_list(args.m_list, "--m-list", int, lambda v: v >= 1, "integers >= 1")
+    seeds = _parse_list(args.seeds, "--seeds", int, lambda v: True, "integers")
+    try:
+        SimParams(args.delta, 1, 1, beta=args.beta, gamma=args.gamma, theta=args.theta)
+    except ValueError as exc:
+        raise _InvalidArgument(str(exc)) from None
     ch, removed = _load_sanitized(args.channel)
-    n_list = _parse_int_list(args.n_list)
-    m_list = _parse_int_list(args.m_list)
-    seeds = _parse_int_list(args.seeds)
     reports = sqrt_law_sweep(
         ch, args.delta, n_list, m_list, args.eps_target, seeds,
         beta=args.beta, gamma=args.gamma, theta=args.theta, workers=args.workers,
@@ -199,11 +217,11 @@ def cmd_simulate(args) -> int:
     with open(args.csv_out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "M", "seed", "K_n", "epsilon_n", "covert_div",
-                         "normalized_throughput", "a_hat"])
+                         "normalized_throughput", "a_hat", "meets_targets", "skipped"])
         for r in reports:
-            writer.writerow([r.n, r.num_messages, r.seed, repr(r.k_n),
-                             repr(r.epsilon_n), repr(r.covert_div),
-                             repr(r.normalized_throughput), repr(r.a_hat)])
+            values = (r.k_n, r.epsilon_n, r.covert_div, r.normalized_throughput, r.a_hat)
+            writer.writerow([r.n, r.num_messages, r.seed, *(repr(float(v)) for v in values),
+                             str(r.meets_targets).lower(), r.skipped or ""])
 
     rows = []
     for r in reports:
@@ -313,6 +331,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         _emit(_envelope({"error": "numerical-failure", "detail": str(exc)}))
         return EXIT_NUMERICAL
+    except _InvalidArgument as exc:
+        _emit(_envelope({"error": "invalid-argument", "detail": str(exc)}))
+        return EXIT_INVALID_ARGUMENT
 
 
 if __name__ == "__main__":

@@ -39,6 +39,10 @@ NATS_CLIP = 1e-9
 # Two states count as equal when their trace-norm distance is below this.
 STATE_EQUALITY_TOL = 1e-9
 
+# States commute when, in the eigenbasis of a generic combination of them,
+# no off-diagonal entry exceeds this rounding-level slack.
+COMMUTE_TOL = 1e-13
+
 # Mixture-feasibility policy: minimum informative mass for a witness, and
 # the equality residual the linear program must achieve.
 MIXTURE_MASS_TOL = 1e-7
@@ -83,6 +87,7 @@ def tolerances() -> dict:
         "support_inclusion_tol": SUPPORT_INCLUSION_TOL,
         "nats_clip": NATS_CLIP,
         "state_equality_tol": STATE_EQUALITY_TOL,
+        "commute_tol": COMMUTE_TOL,
         "mixture_mass_tol": MIXTURE_MASS_TOL,
         "mixture_residual_tol": MIXTURE_RESIDUAL_TOL,
         "kkt_tol": KKT_TOL,

@@ -271,18 +271,14 @@ def a_hat(ch: CQWiretapChannel, nonzero_dist: InputDistribution,
     return (1.0 - theta) * (1.0 - gamma) * (1.0 - beta) * numerator / math.sqrt(0.5 * chi2)
 
 
-def _run_cell(ch, nonzero_dist, params: SimParams, eps_target: float,
-              a_hat_value: float) -> SimulationReport:
+def _run_cell(ch, pn: InputDistribution, covert_avg: float, params: SimParams,
+              eps_target: float, a_hat_value: float) -> SimulationReport:
+    """One (n, M, seed) cell; ``pn`` and ``covert_avg`` depend on n only."""
     n, m, seed = params.n, params.num_messages, params.seed
     nan = float("nan")
     try:
-        alpha = alpha_n(ch, nonzero_dist, params.delta, n, params.beta)
-        pn = build_input_distribution(alpha, nonzero_dist)
         cb = sample_codebook(pn, n, m, seed)
-
         covert = covertness_divergence(ch, cb)
-        mix = average_output_state(ch, pn, "eavesdropper")
-        covert_avg = n * relative_entropy(mix, ch.rho[0])
         weights = _uniform(cb)
         entropy, error = _receiver_pass(ch, cb.codewords, weights, decode=m > 1)
         epsilon = error if m > 1 else 0.0
@@ -340,14 +336,17 @@ def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
                   beta=beta, gamma=gamma, theta=theta)
         for n in n_list for m in m_list for seed in seeds
     ]
+    per_n = {}
+    for n in dict.fromkeys(p.n for p in cells):
+        pn = build_input_distribution(alpha_n(ch, nonzero, delta, n, beta), nonzero)
+        mix = average_output_state(ch, pn, "eavesdropper")
+        per_n[n] = (pn, n * relative_entropy(mix, ch.rho[0]))
+    args = ([ch] * len(cells), [per_n[p.n][0] for p in cells], [per_n[p.n][1] for p in cells],
+            cells, [eps_target] * len(cells), [a_hat_value] * len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                _run_cell,
-                [ch] * len(cells), [nonzero] * len(cells), cells,
-                [eps_target] * len(cells), [a_hat_value] * len(cells),
-            ))
+            reports = list(pool.map(_run_cell, *args))
     else:
-        reports = [_run_cell(ch, nonzero, p, eps_target, a_hat_value) for p in cells]
+        reports = list(map(_run_cell, *args))
     reports.sort(key=lambda r: (r.n, r.num_messages, r.seed))
     return reports

@@ -79,6 +79,13 @@ def random_diagonal_channel(rng, k, dy, dz, floor=0.1):
     return ch, sigma_diags, rho_diags
 
 
+def diagonal_eavesdropper_channel(rng, dy=2, floor=0.2):
+    """k = 2 square-root channel with Ginibre receiver letters and diagonal
+    (so commuting) eavesdropper letters."""
+    sigma = [random_density(rng, dy, floor=floor) for _ in range(2)]
+    return cq.CQWiretapChannel(sigma, [diag_state(0.55, 0.45), diag_state(0.6, 0.4)])
+
+
 def conjugated_channel(ch, u_receiver=None, u_eavesdropper=None):
     """Apply a common unitary to every receiver and/or eavesdropper state."""
     sigma = ch.sigma

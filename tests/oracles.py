@@ -7,8 +7,9 @@ avoiding the package's operator machinery, so simultaneously-diagonal
 The dense n-letter references build every n-letter matrix explicitly: each
 codeword state, both codebook mixtures and the idle tensor power.  They use
 none of the package's product-structure shortcuts (the additive logarithm of
-the idle state, the per-letter support rule, the streamed square-root
-measurement), only its single-letter functionals on the dense matrices.
+the idle state, the per-letter support rule, the head and tail factors of the
+square-root measurement, the spectrum of commuting letters), only its
+single-letter functionals on the dense matrices.
 """
 
 import math
@@ -101,16 +102,18 @@ def dense_covertness_divergence(ch, codewords, weights) -> float:
     return cq.relative_entropy(mix, cq.tensor_power(ch.rho[0], np.shape(codewords)[1]))
 
 
-def dense_pgm_error(ch, codewords) -> float:
-    """Square-root-measurement error for equiprobable codewords, with every
-    codeword state held and the two-sided product S^{-1/2} sigma S^{-1/2}."""
+def dense_pgm_error(ch, codewords, weights=None) -> float:
+    """Square-root-measurement error for codewords sent with ``weights``
+    (equiprobable by default), with every codeword state held and the
+    two-sided product S^{-1/2} w_m sigma_m S^{-1/2}."""
     outputs = [reduce(np.kron, [ch.sigma[x].mat for x in cw]) for cw in codewords]
-    m = len(outputs)
-    w, v = np.linalg.eigh(sum(outputs) / m)
+    if weights is None:
+        weights = np.full(len(outputs), 1.0 / len(outputs))
+    w, v = np.linalg.eigh(sum(p * out for p, out in zip(weights, outputs)))
     on = w > 1e-12
     inv_sqrt = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
-    success = sum(float(np.einsum("ij,ji->", inv_sqrt @ out @ inv_sqrt, out).real)
-                  for out in outputs) / (m * m)
+    success = sum(p * p * float(np.einsum("ij,ji->", inv_sqrt @ out @ inv_sqrt, out).real)
+                  for p, out in zip(weights, outputs))
     return min(max(1.0 - success, 0.0), 1.0)
 
 

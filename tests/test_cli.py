@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -233,12 +234,72 @@ def test_simulate_command(tmp_path, capsys):
         assert 0.0 <= row["epsilon_n"] <= 1.0
     first_csv = open(csv_path).read()
     assert first_csv.splitlines()[0] == \
-        "n,M,seed,K_n,epsilon_n,covert_div,normalized_throughput,a_hat"
+        "n,M,seed,K_n,epsilon_n,covert_div,normalized_throughput,a_hat,meets_targets,skipped"
 
     main(argv)
     capsys.readouterr()
     assert open(csv_path).read() == first_csv
     assert "s" not in payload["params"]
+
+
+def test_simulate_csv_fields_parse(tmp_path, capsys, monkeypatch):
+    # a cap of 8 skips the n = 4 cells, whose values are NaN
+    monkeypatch.setenv("CQCOVERT_DIM_CAP", "8")
+    rng = np.random.default_rng(48)
+    ch = cq.CQWiretapChannel([random_density(rng, 2, floor=0.2) for _ in range(2)],
+                             two_symbol_example_channel().rho)
+    path = write_channel(tmp_path, ch)
+    csv_path = tmp_path / "sweep.csv"
+    code, payload = run(capsys, ["simulate", path, "--delta", "0.05", "--n-list", "2,4",
+                                 "--m-list", "1,3", "--seeds", "0", "--csv-out", str(csv_path)])
+    assert code == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(payload["reports"]) == 4
+    for row, report in zip(rows, payload["reports"]):
+        for key in ("n", "M", "seed", "K_n", "epsilon_n", "covert_div",
+                    "normalized_throughput", "a_hat"):
+            float(row[key])
+        assert row["meets_targets"] == str(report["meets_targets"]).lower()
+        assert row["skipped"] == (report["skipped"] or "")
+        assert (row["skipped"] != "") == (report["n"] == 4)
+        if report["skipped"] is None:
+            assert float(row["covert_div"]) == report["covert_div"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_validate_rejects_non_finite_entries(tmp_path, capsys, value):
+    ch = two_symbol_example_channel()
+    rho1 = [[[0.75, 0.0], [float(value), 0.0]], [[0.0, 0.0], [0.25, 0.0]]]
+    raw = {
+        "schema_version": "1", "k": 2, "dims": {"dY": 2, "dZ": 2},
+        "sigma": [matrix_to_pairs(s.mat) for s in ch.sigma],
+        "rho": [matrix_to_pairs(ch.rho[0].mat), rho1],
+    }
+    path = write_raw(tmp_path, raw)
+    for command in ("validate", "classify"):
+        code, payload = run(capsys, [command, path])
+        assert code == 2
+        assert payload["problems"] == [{"kind": "non-finite", "side": "rho", "index": 1,
+                                        "detail": "1 of 4 entries are NaN or infinite"}]
+
+
+@pytest.mark.parametrize("flags, detail", [
+    (["simulate", "--n-list", "0", "--m-list", "2"], "--n-list must be a comma-separated list of integers >= 1, got '0'"),
+    (["simulate", "--n-list", "2", "--m-list", "0"], "--m-list must be a comma-separated list of integers >= 1, got '0'"),
+    (["simulate", "--n-list", "2,3.5", "--m-list", "2"], "--n-list must be a comma-separated list of integers >= 1, got '2,3.5'"),
+    (["expansion-check", "--alphas", "0.5"], "--alphas must be a comma-separated list of numbers in (0, 0.1], got '0.5'"),
+])
+def test_invalid_arguments_are_json_errors(tmp_path, capsys, flags, detail):
+    path = write_channel(tmp_path, two_symbol_example_channel())
+    argv = [flags[0], path, *flags[1:]]
+    if flags[0] == "simulate":
+        argv += ["--delta", "0.05", "--seeds", "0", "--csv-out", str(tmp_path / "sweep.csv")]
+    code, payload = run(capsys, argv)
+    assert code == 8
+    assert payload["error"] == "invalid-argument"
+    assert payload["detail"] == detail
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_simulate_rejects_removed_s_flag(tmp_path, capsys):

@@ -5,14 +5,17 @@ import pytest
 import scipy.linalg
 
 import cqcovert as cq
+from cqcovert.channel import _letter_factors, _mixture_divergence, _receiver_pass
 from cqcovert.errors import WrongRegimeError
 
 import oracles
 from helpers import (
     diag_state,
+    diagonal_eavesdropper_channel,
     random_channel,
     random_density,
     random_square_root_channel,
+    random_unitary,
     two_symbol_example_channel,
 )
 
@@ -112,43 +115,94 @@ def test_covertness_divergence_against_logm_path():
 
 def test_n_letter_passes_match_dense_references():
     # Ginibre letters: the eavesdropper states do not commute with rho(0).
+    # Codebooks include n = 1, M = 1, a repeated codeword and, besides the
+    # uniform weights, Dirichlet weights with one zero.
     rng = np.random.default_rng(41)
-    for dy, dz, n_max in ((2, 2, 8), (3, 3, 4)):
+    for dy, dz, n_max in ((2, 2, 9), (3, 3, 4)):
         ch = random_channel(rng, 3, dy, dz)
-        for n in range(2, n_max + 1):
+        assert _letter_factors(ch.rho)[0].ndim == 2
+        for n in range(1, n_max + 1):
             for m in (1, 2, 4, 8):
                 codewords = rng.integers(0, 3, size=(m, n))
+                codewords[-1] = codewords[0]
+                uniform = np.full(m, 1.0 / m)
                 cb = cq.Codebook(n=n, num_messages=m, codewords=codewords,
                                  sampling_distribution=cq.InputDistribution([1 / 3] * 3))
-                uniform = np.full(m, 1.0 / m)
                 assert cq.covertness_divergence(ch, cb) == pytest.approx(
                     oracles.dense_covertness_divergence(ch, codewords, uniform), abs=1e-10)
                 assert cq.pgm_error_probability(ch, cb) == pytest.approx(
                     oracles.dense_pgm_error(ch, codewords), abs=1e-10)
+                if m == 1:
+                    continue
+                weights = rng.dirichlet(np.ones(m))
+                weights[1] = 0.0
+                weights /= weights.sum()
+                assert _mixture_divergence(ch, codewords, weights) == pytest.approx(
+                    oracles.dense_covertness_divergence(ch, codewords, weights), abs=1e-10)
+                entropy, error = _receiver_pass(ch, codewords, weights, decode=True)
+                mixture = oracles.dense_mixture(ch.sigma, codewords, weights)
+                assert entropy == pytest.approx(cq.von_neumann_entropy(
+                    cq.DensityOperator(mixture, validate=False)), abs=1e-10)
+                assert error == pytest.approx(
+                    oracles.dense_pgm_error(ch, codewords, weights), abs=1e-10)
+
+
+def _eavesdropper_cases(rng):
+    """(eavesdropper letters, whether they commute): diagonal letters,
+    rho(0) = I/2 with a non-diagonal rho(1), letters diagonal in a rotated
+    basis, and a pair whose commutator is ~1e-9."""
+    u = random_unitary(rng, 2)
+    diagonal = [diag_state(*rng.dirichlet(np.ones(2))) for _ in range(3)]
+    rotated = [cq.DensityOperator(u @ r.mat @ u.conj().T) for r in diagonal]
+    near = cq.DensityOperator(np.array([[0.7, 1e-8], [1e-8, 0.3]]))
+    return [
+        (diagonal, True),
+        ([diag_state(0.5, 0.5), random_density(rng, 2, floor=0.2)], True),
+        (rotated, True),
+        ([diag_state(0.6, 0.4), near], False),
+    ]
+
+
+def test_commuting_eavesdropper_matches_dense_reference():
+    rng = np.random.default_rng(46)
+    for rho, commutes in _eavesdropper_cases(rng):
+        k = len(rho)
+        ch = cq.CQWiretapChannel([random_density(rng, 2) for _ in range(k)], rho)
+        assert (_letter_factors(ch.rho)[0].ndim == 1) == commutes
+        for n in range(1, 8):
+            for m in (1, 3, 8):
+                codewords = rng.integers(0, k, size=(m, n))
+                codewords[-1] = codewords[0]
+                for weights in (np.full(m, 1.0 / m), rng.dirichlet(np.ones(m))):
+                    assert _mixture_divergence(ch, codewords, weights) == pytest.approx(
+                        oracles.dense_covertness_divergence(ch, codewords, weights), abs=1e-10)
 
 
 def test_covertness_divergence_support_rule_on_unsanitized_channel():
-    # rho(0) has rank 2 in dimension 3; rho(1) lives on its support without
-    # commuting with it, rho(2) leaks out of it.
-    inner = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
-    rho = [diag_state(0.5, 0.5, 0.0),
-           cq.DensityOperator(np.pad(inner, ((0, 1), (0, 1)))),
-           diag_state(0.2, 0.3, 0.5)]
+    # rho(0) has rank 2 in dimension 3; rho(1) lives on its support, first
+    # without commuting with it, then diagonal (the commuting path); rho(2)
+    # leaks out of it.
     rng = np.random.default_rng(43)
-    ch = cq.CQWiretapChannel([random_density(rng, 2) for _ in range(3)], rho)
-    inside = np.array([[1, 0, 1], [0, 1, 1]])
-    leaking = np.array([[1, 0, 1], [0, 2, 0]])
-    pn = cq.InputDistribution([1 / 3] * 3)
-    finite = cq.covertness_divergence(ch, cq.Codebook(3, 2, inside, pn))
-    assert np.isfinite(finite)
-    assert finite == pytest.approx(
-        oracles.dense_covertness_divergence(ch, inside, [0.5, 0.5]), abs=1e-10)
-    assert cq.covertness_divergence(ch, cq.Codebook(3, 2, leaking, pn)) == float("inf")
-    assert oracles.dense_covertness_divergence(ch, leaking, [0.5, 0.5]) == float("inf")
-    # a leaking letter that only a zero-weight codeword uses does not count
-    chain = cq.converse_chain(ch, leaking, [1.0, 0.0], strict=False)
-    assert chain.div_joint == pytest.approx(
-        oracles.dense_covertness_divergence(ch, leaking, [1.0, 0.0]), abs=1e-10)
+    for inner, commutes in ((np.array([[0.7, 0.2j], [-0.2j, 0.3]]), False),
+                            (np.diag([0.7, 0.3]), True)):
+        rho = [diag_state(0.5, 0.5, 0.0),
+               cq.DensityOperator(np.pad(inner, ((0, 1), (0, 1)))),
+               diag_state(0.2, 0.3, 0.5)]
+        ch = cq.CQWiretapChannel([random_density(rng, 2) for _ in range(3)], rho)
+        assert (_letter_factors(ch.rho)[0].ndim == 1) == commutes
+        inside = np.array([[1, 0, 1], [0, 1, 1]])
+        leaking = np.array([[1, 0, 1], [0, 2, 0]])
+        pn = cq.InputDistribution([1 / 3] * 3)
+        finite = cq.covertness_divergence(ch, cq.Codebook(3, 2, inside, pn))
+        assert np.isfinite(finite)
+        assert finite == pytest.approx(
+            oracles.dense_covertness_divergence(ch, inside, [0.5, 0.5]), abs=1e-10)
+        assert cq.covertness_divergence(ch, cq.Codebook(3, 2, leaking, pn)) == float("inf")
+        assert oracles.dense_covertness_divergence(ch, leaking, [0.5, 0.5]) == float("inf")
+        # a leaking letter that only a zero-weight codeword uses does not count
+        chain = cq.converse_chain(ch, leaking, [1.0, 0.0], strict=False)
+        assert chain.div_joint == pytest.approx(
+            oracles.dense_covertness_divergence(ch, leaking, [1.0, 0.0]), abs=1e-10)
 
 
 def test_pgm_orthogonal_and_identical_codewords():
@@ -285,6 +339,8 @@ def test_sweep_single_message_and_determinism():
         assert r.normalized_throughput <= r.converse_bound + 1e-9
     again = cq.sqrt_law_sweep(ch, 0.05, [2, 3], [1, 2], 0.5, [0, 1])
     assert again == reports
+    # plain floats, so reports and CSV cells print as numbers
+    assert all(type(r.covert_div) is float and type(r.epsilon_n) is float for r in reports)
 
 
 def test_sweep_matches_dense_references():
@@ -298,6 +354,8 @@ def test_sweep_matches_dense_references():
         pn = cq.build_input_distribution(alpha, nonzero)
         codewords = cq.sample_codebook(pn, r.n, r.num_messages, r.seed).codewords
         uniform = np.full(r.num_messages, 1.0 / r.num_messages)
+        mix = cq.average_output_state(ch, pn, "eavesdropper")
+        assert r.covert_div_avg == r.n * cq.relative_entropy(mix, ch.rho[0])
         holevo, div = oracles.dense_joint_terms(ch, codewords, uniform)
         assert r.covert_div == pytest.approx(div, abs=1e-10)
         assert r.chain.div_joint == pytest.approx(div, abs=1e-10)
@@ -318,9 +376,31 @@ def test_sweep_skips_cells_over_the_cap():
     assert math.isnan(big.covert_div)
 
 
+def test_sweep_cell_makes_one_full_eigensolve_with_commuting_eavesdropper(monkeypatch):
+    # The receiver pass takes the only d^n-dimensional eigensolve; a
+    # noncommuting eavesdropper takes a second one.
+    rng = np.random.default_rng(47)
+    n = 6
+    dims = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            dims.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    for ch, expected in ((diagonal_eavesdropper_channel(rng), 1),
+                         (random_square_root_channel(rng, 2, 2, 2), 2)):
+        dims.clear()
+        (report,) = cq.sqrt_law_sweep(ch, 0.05, [n], [4], 0.1, [0])
+        assert report.skipped is None
+        assert dims.count(2 ** n) == expected
+
+
 def test_sweep_parallel_matches_serial():
-    noncommuting = random_square_root_channel(np.random.default_rng(45), 3, 2, 2)
-    for ch, n_list in ((two_symbol_example_channel(), [2]), (noncommuting, [2, 6])):
+    rng = np.random.default_rng(45)
+    noncommuting = random_square_root_channel(rng, 3, 2, 2)
+    commuting = diagonal_eavesdropper_channel(rng)
+    for ch, n_list in ((two_symbol_example_channel(), [2]), (noncommuting, [2, 6]),
+                       (commuting, [2, 6])):
         serial = cq.sqrt_law_sweep(ch, 0.05, n_list, [1, 4], 0.5, [0, 1], workers=1)
         parallel = cq.sqrt_law_sweep(ch, 0.05, n_list, [1, 4], 0.5, [0, 1], workers=2)
         assert serial == parallel
