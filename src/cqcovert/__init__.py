@@ -36,7 +36,7 @@ from .operators import (
     tensor_power,
     tensor_product,
 )
-from .regime import Regime, RegimeReport, check_support_condition, classify, mixture_feasible
+from .regime import Regime, RegimeReport, check_support_condition, classify
 from .scaling import (
     ConverseChainReport,
     RateResult,
@@ -63,7 +63,6 @@ from .simulate import (
     psi_n,
     sample_codebook,
     sqrt_law_sweep,
-    type_set_membership,
 )
 
 __version__ = "0.1.0"

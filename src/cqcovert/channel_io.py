@@ -20,15 +20,9 @@ import sys
 
 import numpy as np
 
-from .channel import CQWiretapChannel
 from .errors import ChannelFormatError
 
 SCHEMA_VERSION = "1"
-
-
-def matrix_to_pairs(mat: np.ndarray) -> list:
-    """Complex matrix -> nested lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
 
 
 def pairs_to_matrix(obj, where: str) -> np.ndarray:
@@ -49,17 +43,23 @@ def load_channel_data(source) -> dict:
 
     ``source`` is a path, ``"-"`` for standard input, or an open stream.
     Returns ``{"k", "dY", "dZ", "sigma", "rho"}`` with lists of complex
-    matrices.  Structural problems raise ChannelFormatError; numeric
+    matrices.  Text that is not JSON and structural problems raise
+    ChannelFormatError; a file that cannot be opened raises OSError; numeric
     validation is a separate step (channel.validate).
     """
-    if source == "-":
-        payload = json.load(sys.stdin)
-    elif isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(source)
+    try:
+        if source == "-":
+            payload = json.load(sys.stdin)
+        elif isinstance(source, (str, bytes)):
+            with open(source) as fh:
+                payload = json.load(fh)
+        else:
+            payload = json.load(source)
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise ChannelFormatError(f"not a JSON document: {exc}") from exc
 
+    if not isinstance(payload, dict):
+        raise ChannelFormatError("the channel must be a JSON object")
     for key in ("k", "dims", "sigma", "rho"):
         if key not in payload:
             raise ChannelFormatError(f"missing required key {key!r}")
@@ -67,6 +67,11 @@ def load_channel_data(source) -> dict:
     dims = payload["dims"]
     if not isinstance(k, int) or k < 2:
         raise ChannelFormatError(f"k must be an integer >= 2, got {k!r}")
+    if not isinstance(dims, dict):
+        raise ChannelFormatError(f"dims must be an object, got {dims!r}")
+    for side in ("sigma", "rho"):
+        if not isinstance(payload[side], list):
+            raise ChannelFormatError(f"{side} must be a list of matrices")
     for key in ("dY", "dZ"):
         if key not in dims or not isinstance(dims[key], int) or dims[key] < 1:
             raise ChannelFormatError(f"dims.{key} must be a positive integer")
@@ -86,19 +91,3 @@ def load_channel_data(source) -> dict:
                 )
             store.append(mat)
     return {"k": k, "dY": dims["dY"], "dZ": dims["dZ"], "sigma": sigma, "rho": rho}
-
-
-def channel_to_payload(ch: CQWiretapChannel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "k": ch.k,
-        "dims": {"dY": ch.receiver_dim, "dZ": ch.eavesdropper_dim},
-        "sigma": [matrix_to_pairs(s.mat) for s in ch.sigma],
-        "rho": [matrix_to_pairs(r.mat) for r in ch.rho],
-    }
-
-
-def save_channel(path: str, ch: CQWiretapChannel):
-    with open(path, "w") as fh:
-        json.dump(channel_to_payload(ch), fh, indent=2, sort_keys=True)
-        fh.write("\n")

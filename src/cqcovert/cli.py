@@ -8,7 +8,8 @@ configuration, so results are auditable and reruns are byte-identical.
 Exit codes: 0 success, 2 validation failure, 3 unusable channel, 4 wrong
 regime for the requested command, 5 resource cap exceeded or malformed,
 6 covert-rate ascent did not converge, 7 numerical failure, 8 invalid
-command-line argument.
+command-line argument: a value out of range, a channel file that cannot be
+read, or a --csv-out path outside a writable directory.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -71,8 +73,15 @@ def _emit(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _read_channel(path: str) -> dict:
+    try:
+        return load_channel_data(path)
+    except OSError as exc:
+        raise _InvalidArgument(f"cannot read channel file {path!r}: {exc.strerror or exc}") from None
+
+
 def _load_sanitized(path: str):
-    data = load_channel_data(path)
+    data = _read_channel(path)
     diag = validate(data["sigma"], data["rho"])
     if not diag.ok:
         raise _ValidationFailure(diag)
@@ -92,13 +101,7 @@ def _to_bits(value: float) -> float:
 
 
 def cmd_validate(args) -> int:
-    try:
-        data = load_channel_data(args.channel)
-    except ChannelFormatError as exc:
-        _emit(_envelope({"ok": False, "problems": [
-            {"kind": "shape", "side": None, "index": None, "detail": str(exc)}
-        ]}))
-        return EXIT_VALIDATION
+    data = _read_channel(args.channel)
     diag = validate(data["sigma"], data["rho"])
     _emit(_envelope(diag.to_dict()))
     return EXIT_OK if diag.ok else EXIT_VALIDATION
@@ -135,6 +138,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_scaling_constant(args) -> int:
+    if args.oracle_resolution is not None and not 0.0 < args.oracle_resolution <= 1.0:
+        raise _InvalidArgument(f"--oracle-resolution must lie in (0, 1], got {args.oracle_resolution!r}")
     ch, removed = _load_sanitized(args.channel)
     result = scaling_constant(ch)
     scale = _to_bits if args.bits else (lambda v: v)
@@ -208,6 +213,10 @@ def cmd_simulate(args) -> int:
         SimParams(args.delta, 1, 1, beta=args.beta, gamma=args.gamma, theta=args.theta)
     except ValueError as exc:
         raise _InvalidArgument(str(exc)) from None
+    # Checked before the sweep, so that its results are not lost at the end.
+    csv_dir = os.path.dirname(args.csv_out) or "."
+    if not (os.path.isdir(csv_dir) and os.access(csv_dir, os.W_OK)) or os.path.isdir(args.csv_out):
+        raise _InvalidArgument(f"--csv-out must name a file in a writable directory, got {args.csv_out!r}")
     ch, removed = _load_sanitized(args.channel)
     reports = sqrt_law_sweep(
         ch, args.delta, n_list, m_list, args.eps_target, seeds,

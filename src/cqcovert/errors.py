@@ -18,4 +18,4 @@ class WrongRegimeError(CQCovertError):
 
 
 class DimensionCapError(CQCovertError):
-    """A tensor product would exceed the configured dimension cap."""
+    """A tensor product or an oracle grid would exceed its size cap."""

@@ -75,6 +75,20 @@ def _require_sanitized(ch: CQWiretapChannel):
         raise ValueError("channel is not sanitized: rho(0) is singular")
 
 
+def _mixture_constraints(ch: CQWiretapChannel):
+    """``(a_eq, b_eq)`` with a_eq P = b_eq iff Sum_x P(x) rho(x) = rho(0)
+    and Sum_x P(x) = 1."""
+    columns = np.stack([hermitian_to_realvec(r.mat) for r in ch.rho], axis=1)
+    return (np.vstack([columns, np.ones((1, ch.k))]),
+            np.concatenate([hermitian_to_realvec(ch.rho[0].mat), [1.0]]))
+
+
+def _mixture_residual(ch: CQWiretapChannel, probs) -> float:
+    """Frobenius norm of Sum_x P(x) rho(x) - rho(0)."""
+    mix = sum(p * r.mat for p, r in zip(probs, ch.rho))
+    return float(np.linalg.norm(mix - ch.rho[0].mat))
+
+
 def _mixture_lp(ch: CQWiretapChannel):
     """Search for a mixture witness by one linear program.
 
@@ -84,19 +98,12 @@ def _mixture_lp(ch: CQWiretapChannel):
     Returns ``(witness, residual, uninformative_only)``.
     """
     informative = informative_symbols(ch)
-
-    columns = np.stack([hermitian_to_realvec(r.mat) for r in ch.rho], axis=1)
-    a_eq = np.vstack([columns, np.ones((1, ch.k))])
-    b_eq = np.concatenate([hermitian_to_realvec(ch.rho[0].mat), [1.0]])
+    a_eq, b_eq = _mixture_constraints(ch)
 
     def solve(objective_symbols):
         cost = np.zeros(ch.k)
         cost[objective_symbols] = -1.0
         return linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-
-    def residual_of(probs):
-        mix = sum(p * r.mat for p, r in zip(probs, ch.rho))
-        return float(np.linalg.norm(mix - ch.rho[0].mat))
 
     if not informative:
         # No symbol can carry information; the degenerate point mass at 0 is
@@ -113,7 +120,7 @@ def _mixture_lp(ch: CQWiretapChannel):
     if mass > MIXTURE_MASS_TOL:
         probs = np.clip(res.x, 0.0, None)
         witness = InputDistribution(probs / probs.sum())
-        residual = residual_of(witness.probs)
+        residual = _mixture_residual(ch, witness.probs)
         if residual > MIXTURE_RESIDUAL_TOL:
             raise RuntimeError(
                 f"mixture LP returned residual {residual:.3e} above "
@@ -133,16 +140,8 @@ def _mixture_lp(ch: CQWiretapChannel):
     off_zero = list(range(1, ch.k))
     res2 = solve(off_zero)
     uninformative_only = bool(res2.status == 0 and -float(res2.fun) > MIXTURE_MASS_TOL)
-    residual = residual_of(np.clip(res.x, 0.0, None)) if res.x is not None else float("inf")
+    residual = _mixture_residual(ch, np.clip(res.x, 0.0, None)) if res.x is not None else float("inf")
     return None, residual, uninformative_only
-
-
-def mixture_feasible(ch: CQWiretapChannel) -> Optional[InputDistribution]:
-    """Witness distribution with Sum_x P(x) rho(x) = rho(0) and informative
-    support, or None when no such distribution exists."""
-    _require_sanitized(ch)
-    witness, _, _ = _mixture_lp(ch)
-    return witness
 
 
 def check_support_condition(ch: CQWiretapChannel) -> list:

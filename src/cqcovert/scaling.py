@@ -10,8 +10,9 @@ program
 
     minimize 1/2 v^T (Q - 11^T) v   subject to   d^T v = 1, v >= 0,
 
-whose minimum m* gives the constant as 1/sqrt(m*).  The program is solved
-exactly by active-set support enumeration and cross-checked against a
+whose minimum m* gives the constant as 1/sqrt(m*).  One primal active-set
+method solves it for every alphabet size; its final support is certified
+by the KKT conditions, and the constant is cross-checked against a
 brute-force simplex grid.
 """
 
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog, minimize, minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
 from .config import (
     FRANK_WOLFE_GAP_TOL,
@@ -46,8 +46,9 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .errors import DimensionCapError, WrongRegimeError
-from .operators import DensityOperator, hermitian_to_realvec
-from .regime import Regime, _require_sanitized, classify, informative_symbols
+from .operators import DensityOperator
+from .regime import (Regime, _mixture_constraints, _mixture_residual, _require_sanitized,
+                     classify, informative_symbols)
 
 
 def divergence_vector(ch: CQWiretapChannel) -> np.ndarray:
@@ -82,6 +83,26 @@ def chi_sq_gram(ch: CQWiretapChannel) -> np.ndarray:
     return gram
 
 
+def _equality_kkt(a_mat, d, support):
+    """``(v, mu)`` with A_SS v_S = mu d_S, d_S^T v_S = 1 and v = 0 off S.
+
+    Least squares, so a singular A (a duplicated symbol, or more symbols
+    than the eavesdropper's real dimension) still gives a solution.
+    """
+    s = list(support)
+    size = len(s)
+    kkt = np.zeros((size + 1, size + 1))
+    kkt[:size, :size] = a_mat[np.ix_(s, s)]
+    kkt[:size, size] = -d[s]
+    kkt[size, :size] = d[s]
+    rhs = np.zeros(size + 1)
+    rhs[size] = 1.0
+    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    v = np.zeros(len(d))
+    v[s] = sol[:size]
+    return v, sol[size]
+
+
 def _kkt_candidate(a_mat, d, support, scale):
     """Solve the equality KKT system on one support and verify optimality.
 
@@ -92,26 +113,16 @@ def _kkt_candidate(a_mat, d, support, scale):
     s = list(support)
     if not np.any(d[s] > 0.0):
         return None
-    size = len(s)
-    kkt = np.zeros((size + 1, size + 1))
-    kkt[:size, :size] = a_mat[np.ix_(s, s)]
-    kkt[:size, size] = -d[s]
-    kkt[size, :size] = d[s]
-    rhs = np.zeros(size + 1)
-    rhs[size] = 1.0
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    v_s, mu = sol[:size], sol[size]
-    if np.min(v_s) < -1e-12:
+    v, mu = _equality_kkt(a_mat, d, s)
+    if np.min(v[s]) < -1e-12:
         return None
-    v = np.zeros(len(d))
-    v[s] = np.clip(v_s, 0.0, None)
+    v = np.clip(v, 0.0, None)
 
     grad = a_mat @ v - mu * d
     tol = KKT_TOL * max(1.0, scale)
     primal = abs(float(d @ v) - 1.0)
-    stationarity = float(np.abs(grad[s]).max()) if s else 0.0
-    off = [i for i in range(len(d)) if i not in support]
-    dual = float(max(0.0, -grad[off].min())) if off else 0.0
+    stationarity = float(np.abs(grad[s]).max())
+    dual = max(0.0, -float(np.delete(grad, s).min(initial=0.0)))
     residual = max(primal, stationarity, dual)
     if residual > tol:
         return None
@@ -122,42 +133,44 @@ def _kkt_candidate(a_mat, d, support, scale):
 def _solve_ray_qp(a_mat, d):
     """min 1/2 v^T A v  s.t.  d^T v = 1, v >= 0, for PSD A.
 
-    Supports are enumerated exactly for small dimensions (any KKT point of
-    a convex program is a global minimum, so the first verified candidate
-    wins); larger instances are solved iteratively and polished on the
-    detected support.
+    Primal active-set method (Nocedal & Wright, ch. 16) with the loop of
+    Lawson & Hanson's NNLS.  The free set starts as {argmax d}, and each
+    pass solves the equality KKT system on it.  A target with a component
+    <= 0 is approached up to the first blocking bound, and the indices that
+    reach 0 leave the free set; otherwise the target becomes the iterate and
+    the index with the most negative gradient (A v - mu d)_j joins.  When no
+    gradient is below -tol, ``_kkt_candidate`` certifies the free set (a KKT
+    point of a convex program is a global minimum).  Raises ArithmeticError
+    if it does not, or after 3 r passes, the NNLS cap.
     """
     r = len(d)
     scale = max(float(np.abs(a_mat).max()), float(np.abs(d).max()), 1.0)
-    if r <= 16:
-        for size in range(1, r + 1):
-            for support in combinations(range(r), size):
-                found = _kkt_candidate(a_mat, d, support, scale)
-                if found is not None:
-                    return found
-        raise ArithmeticError("no KKT-verified support exists; inputs are degenerate")
-
-    # Iterative fallback for wide alphabets, polished through the same
-    # KKT verification used above.
-    x0 = np.zeros(r)
-    imax = int(np.argmax(d))
-    x0[imax] = 1.0 / d[imax]
-    res = minimize(
-        lambda v: 0.5 * v @ a_mat @ v,
-        x0,
-        jac=lambda v: a_mat @ v,
-        constraints=[{"type": "eq", "fun": lambda v: d @ v - 1.0, "jac": lambda v: d}],
-        bounds=[(0.0, None)] * r,
-        method="SLSQP",
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    if not res.success:
-        raise ArithmeticError(f"quadratic program failed: {res.message}")
-    support = tuple(np.nonzero(res.x > 1e-10)[0])
-    found = _kkt_candidate(a_mat, d, support, scale)
-    if found is None:
-        raise ArithmeticError("iterative solution failed KKT verification")
-    return found
+    free = np.zeros(r, dtype=bool)
+    free[np.argmax(d)] = True
+    v = np.zeros(r)
+    for _ in range(3 * r):
+        target, mu = _equality_kkt(a_mat, d, np.flatnonzero(free))
+        blocking = np.flatnonzero(free & (target <= 0.0))
+        if blocking.size:
+            # v >= 0 >= target on the blocking indices; one already at 0 stops the step.
+            ratio = np.divide(v[blocking], v[blocking] - target[blocking],
+                              out=np.zeros(blocking.size), where=v[blocking] > 0.0)
+            step = float(ratio.min())
+            v = v + step * (target - v)
+            hit = blocking[ratio <= step]
+            v[hit] = 0.0
+            free[hit] = False
+            continue
+        v = target
+        grad = np.where(free, np.inf, a_mat @ v - mu * d)
+        enter = int(np.argmin(grad))
+        if grad[enter] >= -KKT_TOL * scale:
+            found = _kkt_candidate(a_mat, d, np.flatnonzero(free), scale)
+            if found is None:
+                raise ArithmeticError("active-set solution failed KKT verification")
+            return found
+        free[enter] = True
+    raise ArithmeticError(f"active-set QP did not converge in {3 * r} passes (r = {r})")
 
 
 @dataclass(frozen=True)
@@ -299,7 +312,7 @@ def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float,
     """
     _require_sanitized(ch)
     if ch.k > 5:
-        raise ValueError("grid oracle is limited to alphabets of size k <= 5")
+        raise DimensionCapError("grid oracle is limited to alphabets of size k <= 5")
     steps = int(round(1.0 / resolution))
     if steps < 1:
         raise ValueError(f"resolution {resolution} coarser than the whole simplex")
@@ -366,9 +379,7 @@ def covert_rate(ch: CQWiretapChannel) -> RateResult:
             converged=True,
         )
 
-    columns = np.stack([hermitian_to_realvec(r.mat) for r in ch.rho], axis=1)
-    a_eq = np.vstack([columns, np.ones((1, ch.k))])
-    b_eq = np.concatenate([hermitian_to_realvec(ch.rho[0].mat), [1.0]])
+    a_eq, b_eq = _mixture_constraints(ch)
 
     def chi_of(probs) -> float:
         return holevo_information(ch.sigma, probs)
@@ -409,12 +420,10 @@ def covert_rate(ch: CQWiretapChannel) -> RateResult:
             break
         current = current + best_t * segment
 
-    mix = sum(p * r.mat for p, r in zip(current, ch.rho))
-    residual = float(np.linalg.norm(mix - ch.rho[0].mat))
     return RateResult(
         rate=chi_of(current),
         optimizer=InputDistribution(current),
-        feasibility_residual=residual,
+        feasibility_residual=_mixture_residual(ch, current),
         iterations=iterations,
         gap=gap,
         converged=gap < FRANK_WOLFE_GAP_TOL,

@@ -184,15 +184,6 @@ def pgm_error_probability(ch: CQWiretapChannel, cb: Codebook) -> float:
     return _receiver_pass(ch, cb.codewords, _uniform(cb), decode=True)[1]
 
 
-def type_set_membership(codeword, gamma: float, pn: InputDistribution) -> bool:
-    """Whether the empirical type keeps at least (1 - gamma) of the sampling
-    mass on every nonzero symbol."""
-    symbols = _check_codeword(codeword, len(pn.probs))
-    counts = np.bincount(symbols, minlength=len(pn.probs))
-    empirical = counts / len(symbols)
-    return bool(np.all(empirical[1:] >= (1.0 - gamma) * pn.probs[1:]))
-
-
 def psi_n(ch: CQWiretapChannel, pn: InputDistribution, codeword, s: float) -> float:
     """Exponent diagnostic of the pinched hypothesis test, single-letterized.
 

@@ -1,8 +1,13 @@
-"""Shared randomized-channel and state generators for the test suite."""
+"""Shared randomized-channel and state generators for the test suite, and
+test-only helpers: channel files and the type-set check."""
+
+import json
 
 import numpy as np
 
 import cqcovert as cq
+from cqcovert.channel import _check_codeword
+from cqcovert.channel_io import SCHEMA_VERSION
 from cqcovert.regime import Regime, classify
 
 
@@ -129,3 +134,33 @@ def off_support_example_channel():
     sigma = [cq.DensityOperator(np.diag([1.0, 0.0])), cq.DensityOperator(plus)]
     rho = [diag_state(0.5, 0.5), diag_state(0.75, 0.25)]
     return cq.CQWiretapChannel(sigma, rho)
+
+
+def matrix_to_pairs(mat) -> list:
+    """Complex matrix -> nested lists of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
+
+
+def channel_to_payload(ch) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "k": ch.k,
+        "dims": {"dY": ch.receiver_dim, "dZ": ch.eavesdropper_dim},
+        "sigma": [matrix_to_pairs(s.mat) for s in ch.sigma],
+        "rho": [matrix_to_pairs(r.mat) for r in ch.rho],
+    }
+
+
+def save_channel(path: str, ch):
+    with open(path, "w") as fh:
+        json.dump(channel_to_payload(ch), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def type_set_membership(codeword, gamma: float, pn) -> bool:
+    """Whether the empirical type keeps at least (1 - gamma) of the sampling
+    mass on every nonzero symbol."""
+    symbols = _check_codeword(codeword, len(pn.probs))
+    counts = np.bincount(symbols, minlength=len(pn.probs))
+    empirical = counts / len(symbols)
+    return bool(np.all(empirical[1:] >= (1.0 - gamma) * pn.probs[1:]))

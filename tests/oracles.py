@@ -10,14 +10,20 @@ none of the package's product-structure shortcuts (the additive logarithm of
 the idle state, the per-letter support rule, the head and tail factors of the
 square-root measurement, the spectrum of commuting letters), only its
 single-letter functionals on the dense matrices.
+
+The ray-QP reference enumerates supports, the exponential method the
+package's active-set solver replaced, and certifies each with the package's
+own KKT check.
 """
 
 import math
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
 import cqcovert as cq
+from cqcovert.scaling import _kkt_candidate
 
 
 def entropy(p) -> float:
@@ -67,6 +73,23 @@ def divergence_and_gram(sigma_diags, rho_diags) -> tuple:
 def scaling_constant_two_symbols(d1: float, q11: float) -> float:
     """Closed form for a k = 2 channel: the simplex is a single point."""
     return d1 / math.sqrt(0.5 * (q11 - 1.0))
+
+
+def enumerated_ray_qp(a_mat, d):
+    """min 1/2 v^T A v  s.t.  d^T v = 1, v >= 0, by support enumeration.
+
+    Tries every support in order of size and returns the first one that
+    passes the package's KKT check, as ``(v, objective, kkt_residual)``;
+    any KKT point of a convex program is a global minimum.  Exponential in
+    the size of the optimal support, so it is a reference only.
+    """
+    scale = max(float(np.abs(a_mat).max()), float(np.abs(d).max()), 1.0)
+    for size in range(1, len(d) + 1):
+        for support in combinations(range(len(d)), size):
+            found = _kkt_candidate(a_mat, d, support, scale)
+            if found is not None:
+                return found
+    raise ArithmeticError("no KKT-verified support exists; inputs are degenerate")
 
 
 def kubo_mori_quadratic(rho0_mat, tilde_mat) -> float:

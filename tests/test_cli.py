@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -6,13 +7,17 @@ import numpy as np
 import pytest
 
 import cqcovert as cq
-from cqcovert.channel_io import load_channel_data, matrix_to_pairs, save_channel
+from cqcovert.channel_io import load_channel_data
 from cqcovert.cli import main
 
 from helpers import (
+    channel_to_payload,
+    matrix_to_pairs,
     mixture_example_channel,
     off_support_example_channel,
     random_density,
+    random_square_root_channel,
+    save_channel,
     two_symbol_example_channel,
 )
 
@@ -196,6 +201,73 @@ def test_scaling_constant_oracle_cap(tmp_path, capsys):
     assert payload["error"] == "resource-cap"
 
 
+@pytest.mark.parametrize("resolution", ["2", "0", "-0.1", "nan"])
+def test_oracle_resolution_out_of_range_is_invalid_argument(tmp_path, capsys, resolution):
+    # The channel file is malformed, so exit 8 shows the check runs before loading it.
+    path = write_raw(tmp_path, {"k": 2})
+    code, payload = run(capsys, ["scaling-constant", path, "--oracle-resolution", resolution])
+    assert code == 8
+    assert payload["error"] == "invalid-argument"
+    assert payload["detail"] == f"--oracle-resolution must lie in (0, 1], got {float(resolution)!r}"
+
+
+def test_grid_oracle_alphabet_cap_is_resource_cap(tmp_path, capsys):
+    ch = random_square_root_channel(np.random.default_rng(12), 6, 2, 3)
+    path = write_channel(tmp_path, ch)
+    code, payload = run(capsys, ["scaling-constant", path, "--oracle-resolution", "0.5"])
+    assert code == 5
+    assert payload["error"] == "resource-cap"
+    assert "k <= 5" in payload["detail"]
+
+
+def test_simulate_csv_in_missing_directory_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("cqcovert.cli.sqrt_law_sweep", no_sweep)
+    path = write_channel(tmp_path, two_symbol_example_channel())
+    csv_path = str(tmp_path / "missing" / "sweep.csv")
+    code, payload = run(capsys, ["simulate", path, "--delta", "0.05", "--n-list", "2",
+                                 "--m-list", "2", "--seeds", "0", "--csv-out", csv_path])
+    assert code == 8
+    assert payload["error"] == "invalid-argument"
+    assert payload["detail"] == f"--csv-out must name a file in a writable directory, got {csv_path!r}"
+
+
+def _payload_with(**changes):
+    payload = channel_to_payload(two_symbol_example_channel())
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("text, code, detail", [
+    ("{", 2, "not a JSON document"),
+    ("[1, 2]", 2, "the channel must be a JSON object"),
+    (_payload_with(dims=[2, 2]), 2, "dims must be an object, got [2, 2]"),
+    (_payload_with(sigma=3), 2, "sigma must be a list of matrices"),
+    (_payload_with(rho={"0": []}), 2, "rho must be a list of matrices"),
+    (None, 8, "cannot read channel file"),
+], ids=["malformed-json", "not-an-object", "dims-not-an-object", "sigma-not-a-list",
+        "rho-not-a-list", "missing-file"])
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_bad_channel_input_is_a_json_error(tmp_path, capsys, monkeypatch, command, text, code,
+                                          detail):
+    if text is None:
+        path = str(tmp_path / "missing.json")
+    else:
+        path = "-"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    exit_code, payload = run(capsys, [command, path])
+    assert exit_code == code
+    if code == 2:
+        [problem] = payload["problems"]
+        assert problem["kind"] == "shape"
+        assert problem["detail"].startswith(detail)
+    else:
+        assert payload["error"] == "invalid-argument"
+        assert payload["detail"].startswith(f"{detail} {path!r}")
+
+
 def test_expansion_check_command(tmp_path, capsys):
     path = write_channel(tmp_path, two_symbol_example_channel())
     code, payload = run(capsys, ["expansion-check", path])
@@ -313,7 +385,6 @@ def test_simulate_rejects_removed_s_flag(tmp_path, capsys):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
     payload = json.dumps({
         "schema_version": "1", "k": 2, "dims": {"dY": 2, "dZ": 2},
         "sigma": [matrix_to_pairs(np.diag([0.5, 0.5])), matrix_to_pairs(np.diag([0.75, 0.25]))],

@@ -19,14 +19,14 @@ from helpers import (
 
 def test_mixture_witness_example():
     ch = mixture_example_channel()
-    witness = cq.mixture_feasible(ch)
+    witness = cq.classify(ch).mixture_witness
     assert witness is not None
     assert np.allclose(witness.probs, [0.0, 0.5, 0.5], atol=1e-8)
 
 
 def test_two_symbol_channel_has_no_witness():
     # P(1) (rho(1) - rho(0)) = 0 forces P(1) = 0
-    assert cq.mixture_feasible(two_symbol_example_channel()) is None
+    assert cq.classify(two_symbol_example_channel()).mixture_witness is None
 
 
 def test_witness_residual_on_random_mixture_channels():
@@ -37,7 +37,7 @@ def test_witness_residual_on_random_mixture_channels():
         rho0 = cq.DensityOperator(sum(w * c.mat for w, c in zip(weights, components)))
         sigma = [random_density(rng, 2) for _ in range(4)]
         ch = cq.CQWiretapChannel(sigma, [rho0] + components)
-        witness = cq.mixture_feasible(ch)
+        witness = cq.classify(ch).mixture_witness
         assert witness is not None
         mix = sum(p * r.mat for p, r in zip(witness.probs, ch.rho))
         assert np.linalg.norm(mix - ch.rho[0].mat) <= 1e-8

@@ -1,9 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cqcovert as cq
+from cqcovert.config import KKT_TOL
 from cqcovert.errors import DimensionCapError, WrongRegimeError
 from cqcovert.regime import Regime
 from cqcovert.scaling import _solve_ray_qp
@@ -166,6 +173,116 @@ def test_scaling_ratio_scale_invariance():
         w = c * v
         ratio = (w @ result.d) / math.sqrt(0.5 * (w @ centered @ w))
         assert ratio == pytest.approx(result.L, abs=1e-9)
+
+
+def separated_psd_instance(rng, r, rank):
+    """Ray-QP data shaped like the scaling constant's: A = G G^T, with the
+    rows of G on one side of a hyperplane, so that no nonzero v >= 0 has
+    v^T A v = 0 (the square-root regime), and d > 0."""
+    g = rng.normal(size=(r, rank))
+    w = rng.normal(size=rank)
+    g *= np.sign(g @ w)[:, None]
+    return g @ g.T, rng.uniform(0.05, 1.0, size=r)
+
+
+def assert_certified(a_mat, d, v, residual):
+    assert v.min() >= 0.0
+    assert d @ v == pytest.approx(1.0, abs=1e-12)
+    assert residual <= KKT_TOL * max(float(np.abs(a_mat).max()), float(np.abs(d).max()), 1.0)
+
+
+def test_ray_qp_matches_enumeration_on_random_instances():
+    rng = np.random.default_rng(21)
+    cases = [(int(r), int(rng.integers(1, r + 2))) for r in rng.integers(1, 13, size=60)]
+    cases += [(17, 2), (20, 2), (24, 2)]  # r > 16 with small optimal support
+    for r, rank in cases:
+        a_mat, d = separated_psd_instance(rng, r, rank)
+        v, objective, residual = _solve_ray_qp(a_mat, d)
+        _, expected, _ = oracles.enumerated_ray_qp(a_mat, d)
+        assert objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert_certified(a_mat, d, v, residual)
+
+
+def test_ray_qp_singular_gram_from_duplicated_symbol():
+    rng = np.random.default_rng(22)
+    a_mat, d = separated_psd_instance(rng, 5, 5)
+    order = [0, 1, 2, 3, 4, 1]
+    a_dup, d_dup = a_mat[np.ix_(order, order)], d[order]
+    assert np.linalg.matrix_rank(a_dup) == 5
+    v, objective, residual = _solve_ray_qp(a_dup, d_dup)
+    _, expected, _ = oracles.enumerated_ray_qp(a_dup, d_dup)
+    assert objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert objective == pytest.approx(_solve_ray_qp(a_mat, d)[1], rel=1e-12, abs=0.0)
+    assert_certified(a_dup, d_dup, v, residual)
+
+
+def test_ray_qp_full_support():
+    rng = np.random.default_rng(16)
+    g = rng.normal(size=(16, 16))
+    a_mat = g @ g.T / 16 + 0.1 * np.eye(16)
+    v_star = rng.uniform(0.5, 1.5, size=16)
+    # A v* = mu d with d^T v* = 1: v* is the unique optimum.
+    d = a_mat @ v_star / (v_star @ a_mat @ v_star)
+    v, objective, residual = _solve_ray_qp(a_mat, d)
+    _, expected, _ = oracles.enumerated_ray_qp(a_mat, d)
+    assert np.count_nonzero(v) == 16
+    assert np.allclose(v, v_star, rtol=1e-9)
+    assert objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert_certified(a_mat, d, v, residual)
+
+
+def test_ray_qp_without_positive_direction_raises():
+    with pytest.raises(ArithmeticError):
+        _solve_ray_qp(np.eye(2), np.array([-1.0, 0.0]))
+
+
+def test_ray_qp_pass_cap_raises(monkeypatch):
+    # A KKT solve whose target is never feasible makes the free set cycle.
+    monkeypatch.setattr("cqcovert.scaling._equality_kkt",
+                        lambda a_mat, d, support: (-np.ones(len(d)), 1.0))
+    with pytest.raises(ArithmeticError, match="did not converge in 6 passes"):
+        _solve_ray_qp(np.eye(2), np.ones(2))
+
+
+PINNED_CHANNEL_SCRIPT = textwrap.dedent("""
+    import importlib.util, json, sys
+    import numpy as np
+    import cqcovert as cq
+    import oracles
+    from cqcovert.regime import informative_symbols
+
+    spec = importlib.util.spec_from_file_location("bench_inputs", sys.argv[1])
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = np.random.default_rng([301, 553])
+    for k in range(2, 22):
+        for dz in (2, 3, 4):
+            sigma, rho = inputs.square_root_channel(rng, k, dz)
+    ch, _ = cq.sanitize(cq.CQWiretapChannel.from_matrices(sigma, rho))
+    result = cq.scaling_constant(ch)
+    keep = [x - 1 for x in informative_symbols(ch)]
+    _, expected, _ = oracles.enumerated_ray_qp((result.gram - 1.0)[np.ix_(keep, keep)],
+                                               result.d[keep])
+    print(json.dumps({"k": ch.k, "dZ": ch.eavesdropper_dim,
+                      "objective": result.qp_objective, "expected": expected}))
+""")
+
+
+def test_ray_qp_solves_pinned_wide_channel_with_one_blas_thread():
+    # The k = 21, dZ = 4 channel of the [301, 553] stream; with one OpenBLAS
+    # thread it once made an SLSQP line search fail.
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(Path(cq.__file__).resolve().parents[1]), str(tests_dir)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PINNED_CHANNEL_SCRIPT,
+         str(tests_dir.parent / "bench" / "inputs.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["k"], out["dZ"]) == (21, 4)
+    assert out["objective"] == pytest.approx(out["expected"], rel=1e-12, abs=0.0)
 
 
 def test_grid_oracle_two_symbols_exact():

@@ -17,6 +17,7 @@ from helpers import (
     random_square_root_channel,
     random_unitary,
     two_symbol_example_channel,
+    type_set_membership,
 )
 
 D1 = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
@@ -245,10 +246,10 @@ def test_pgm_unitary_invariance():
 
 def test_type_set_membership():
     pn = cq.InputDistribution([0.75, 0.25])
-    assert cq.type_set_membership([1, 0, 0, 0], gamma=0.5, pn=pn)
-    assert not cq.type_set_membership([0, 0, 0, 0], gamma=0.5, pn=pn)
+    assert type_set_membership([1, 0, 0, 0], gamma=0.5, pn=pn)
+    assert not type_set_membership([0, 0, 0, 0], gamma=0.5, pn=pn)
     exact = [0, 0, 0, 1]
-    assert cq.type_set_membership(exact, gamma=0.01, pn=pn)
+    assert type_set_membership(exact, gamma=0.01, pn=pn)
 
 
 def test_type_set_probability_meets_chernoff_bound():
@@ -259,7 +260,7 @@ def test_type_set_probability_meets_chernoff_bound():
     cdf = np.cumsum(pn.probs)
     draws = np.searchsorted(cdf, u, side="right")
     hits = sum(
-        cq.type_set_membership(row, gamma, pn) for row in draws
+        type_set_membership(row, gamma, pn) for row in draws
     )
     bound = 1.0 - sum(
         math.exp(-gamma ** 2 * n * pn.probs[x] / 2.0) for x in (1, 2)
