@@ -221,34 +221,36 @@ def pinch(a: HermitianOperator, b: HermitianOperator, group_tol: float = GROUP_T
 
 def support_is_contained(a: HermitianOperator, b: HermitianOperator,
                          tol: float = SUPPORT_INCLUSION_TOL) -> bool:
-    """Whether supp(a) lies inside supp(b), up to eigenvector noise.
-
-    Decided by ||(I - P_b) P_a||_2 <= tol, which errs toward containment
-    only when the violation is below numerical resolution.
-    """
+    """Whether supp(a) lies inside supp(b), up to eigenvector noise."""
     wa, va = np.linalg.eigh(a.mat)
-    pa = va[:, wa > SUPPORT_TOL]
-    if pa.shape[1] == 0:
-        return True
     wb, vb = np.linalg.eigh(b.mat)
-    pb = vb[:, wb > SUPPORT_TOL]
-    if pb.shape[1] == 0:
-        return False
-    leak = pa - pb @ (pb.conj().T @ pa)
-    return float(np.linalg.norm(leak, 2)) <= tol
+    return not _support_leaks(wa[None], va[None], wb, vb, tol)[0]
 
 
-def trace_norm(a: HermitianOperator) -> float:
-    """Sum of absolute eigenvalues."""
-    return float(np.abs(np.linalg.eigvalsh(a.mat)).sum())
+def _support_leaks(wa, va, wb, vb, tol: float = SUPPORT_INCLUSION_TOL) -> np.ndarray:
+    """Per stacked eigendecomposition ``(wa[i], va[i])``, whether its support
+    leaves the support of the one given by ``(wb, vb)``.
+
+    Decided by ||(I - P_b) P_a||_2 > tol, which errs toward containment
+    only when the violation is below numerical resolution.  A full-rank b
+    has P_b = I, so nothing leaks and no norm is taken.
+    """
+    on_b = wb > SUPPORT_TOL
+    if on_b.all():
+        return np.zeros(len(wa), dtype=bool)
+    pa = va * (wa > SUPPORT_TOL)[:, None, :]
+    pb = vb[:, on_b]
+    return np.linalg.norm(pa - pb @ (pb.conj().T @ pa), 2, axis=(1, 2)) > tol
 
 
-def hermitian_to_realvec(mat: np.ndarray) -> np.ndarray:
-    """Flatten a Hermitian matrix into its d^2 independent real coordinates.
+def hermitian_to_realvec(mats: np.ndarray) -> np.ndarray:
+    """Flatten Hermitian matrices into their d^2 independent real coordinates.
 
     Used to turn operator equalities into real linear systems: diagonal,
     then upper-triangle real parts, then upper-triangle imaginary parts.
+    Maps a stack of shape (..., d, d) to (..., d^2).
     """
-    d = mat.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([mat.diagonal().real, mat[iu].real, mat[iu].imag])
+    rows, cols = np.triu_indices(mats.shape[-1], k=1)
+    upper = mats[..., rows, cols]
+    return np.concatenate([np.diagonal(mats, axis1=-2, axis2=-1).real, upper.real, upper.imag],
+                          axis=-1)

@@ -24,13 +24,8 @@ from .config import (
     SUPPORT_TOL,
 )
 from .channel import CQWiretapChannel, InputDistribution
-from .divergences import holevo_information
-from .operators import (
-    HermitianOperator,
-    hermitian_to_realvec,
-    support_is_contained,
-    trace_norm,
-)
+from .divergences import holevo_information, relative_entropies
+from .operators import hermitian_to_realvec
 
 
 class Regime(str, Enum):
@@ -60,13 +55,10 @@ class RegimeReport:
 
 
 def informative_symbols(ch: CQWiretapChannel) -> list:
-    """Nonzero symbols whose receiver state differs from sigma(0)."""
-    out = []
-    for x in range(1, ch.k):
-        gap = trace_norm(HermitianOperator(ch.sigma[x].mat - ch.sigma[0].mat))
-        if gap > STATE_EQUALITY_TOL:
-            out.append(x)
-    return out
+    """Nonzero symbols whose receiver state differs from sigma(0) in trace norm."""
+    diffs = np.stack([s.mat for s in ch.sigma[1:]]) - ch.sigma[0].mat
+    gaps = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
+    return [x for x, gap in zip(range(1, ch.k), gaps) if gap > STATE_EQUALITY_TOL]
 
 
 def _require_sanitized(ch: CQWiretapChannel):
@@ -78,9 +70,8 @@ def _require_sanitized(ch: CQWiretapChannel):
 def _mixture_constraints(ch: CQWiretapChannel):
     """``(a_eq, b_eq)`` with a_eq P = b_eq iff Sum_x P(x) rho(x) = rho(0)
     and Sum_x P(x) = 1."""
-    columns = np.stack([hermitian_to_realvec(r.mat) for r in ch.rho], axis=1)
-    return (np.vstack([columns, np.ones((1, ch.k))]),
-            np.concatenate([hermitian_to_realvec(ch.rho[0].mat), [1.0]]))
+    rows = hermitian_to_realvec(np.stack([r.mat for r in ch.rho]))
+    return np.vstack([rows.T, np.ones((1, ch.k))]), np.concatenate([rows[0], [1.0]])
 
 
 def _mixture_residual(ch: CQWiretapChannel, probs) -> float:
@@ -136,10 +127,12 @@ def _mixture_lp(ch: CQWiretapChannel):
         return witness, residual, False
 
     # No informative witness; check whether mixtures exist at all off the
-    # point mass, to flag the rate-zero corner case.
-    off_zero = list(range(1, ch.k))
-    res2 = solve(off_zero)
-    uninformative_only = bool(res2.status == 0 and -float(res2.fun) > MIXTURE_MASS_TOL)
+    # point mass, to flag the rate-zero corner case.  With every nonzero
+    # symbol informative that is the LP just solved.
+    uninformative_only = False
+    if len(informative) < ch.k - 1:
+        res2 = solve(list(range(1, ch.k)))
+        uninformative_only = bool(res2.status == 0 and -float(res2.fun) > MIXTURE_MASS_TOL)
     residual = _mixture_residual(ch, np.clip(res.x, 0.0, None)) if res.x is not None else float("inf")
     return None, residual, uninformative_only
 
@@ -147,10 +140,8 @@ def _mixture_lp(ch: CQWiretapChannel):
 def check_support_condition(ch: CQWiretapChannel) -> list:
     """Symbols whose receiver state has support outside supp(sigma(0))."""
     _require_sanitized(ch)
-    return [
-        x for x in range(1, ch.k)
-        if not support_is_contained(ch.sigma[x], ch.sigma[0])
-    ]
+    divergences = relative_entropies(ch.sigma[1:], ch.sigma[0])
+    return [x for x, d in zip(range(1, ch.k), divergences) if np.isinf(d)]
 
 
 def classify(ch: CQWiretapChannel) -> RegimeReport:

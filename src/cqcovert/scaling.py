@@ -42,6 +42,7 @@ from .divergences import (
     _clip_nonnegative,
     chi_squared,
     holevo_information,
+    relative_entropies,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -53,7 +54,7 @@ from .regime import (Regime, _mixture_constraints, _mixture_residual, _require_s
 
 def divergence_vector(ch: CQWiretapChannel) -> np.ndarray:
     """Receiver-side divergences d(x) = D(sigma(x) || sigma(0)) for x != 0."""
-    d = np.array([relative_entropy(ch.sigma[x], ch.sigma[0]) for x in range(1, ch.k)])
+    d = relative_entropies(ch.sigma[1:], ch.sigma[0])
     if not np.all(np.isfinite(d)):
         raise WrongRegimeError(
             "some receiver state has support outside supp(sigma(0)); "
@@ -386,7 +387,7 @@ def covert_rate(ch: CQWiretapChannel) -> RateResult:
 
     def gradient(probs) -> np.ndarray:
         mix = average_output_state(ch, probs, "receiver")
-        g = np.array([relative_entropy(ch.sigma[x], mix) for x in range(ch.k)]) - 1.0
+        g = relative_entropies(ch.sigma, mix) - 1.0
         if np.any(np.isinf(g)):
             finite_max = g[np.isfinite(g)].max() if np.any(np.isfinite(g)) else 0.0
             g[np.isinf(g)] = finite_max + math.log(ch.receiver_dim) + 1.0

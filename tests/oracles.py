@@ -11,6 +11,10 @@ the idle state, the per-letter support rule, the head and tail factors of the
 square-root measurement, the spectrum of commuting letters), only its
 single-letter functionals on the dense matrices.
 
+The relative-entropy reference takes its logarithms with scipy's
+Schur-Pade ``logm`` instead of an eigenbasis, on supports cut out by
+explicit projectors.
+
 The ray-QP reference enumerates supports, the exponential method the
 package's active-set solver replaced, and certifies each with the package's
 own KKT check.
@@ -21,6 +25,7 @@ from functools import reduce
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import logm
 
 import cqcovert as cq
 from cqcovert.scaling import _kkt_candidate
@@ -192,3 +197,25 @@ def support_projector(a):
         raise ValueError(f"eigenvalue {w[0]:.3e} below the -1e-10 floor")
     cols = v[:, w > 1e-12]
     return cq.Projector(cols @ cols.conj().T, validate=False)
+
+
+def trace_norm(a) -> float:
+    """Sum of absolute eigenvalues."""
+    return float(np.abs(np.linalg.eigvalsh(a.mat)).sum())
+
+
+def relative_entropy_logm(a, b) -> float:
+    """tr[a log a] - tr[a log b] with both logarithms from ``scipy.linalg.logm``.
+
+    With P the support projector of a state s, log(s + I - P) is log s on
+    supp(s) and 0 off it, so it is the logarithm under the 0 log 0 = 0
+    convention.  supp(a) leaves supp(b) iff tr[(I - P_b) a] > 0, and then
+    the divergence is +inf.
+    """
+    eye = np.eye(a.dim)
+    off_b = eye - support_projector(b).mat
+    if float(np.trace(off_b @ a.mat).real) > 1e-9:
+        return float("inf")
+    log_a = logm(a.mat + eye - support_projector(a).mat)
+    log_b = logm(b.mat + off_b)
+    return float(np.trace(a.mat @ (log_a - log_b)).real)

@@ -49,6 +49,36 @@ def test_relative_entropy_commuting_pair():
     assert value == pytest.approx(expected, abs=1e-12)
 
 
+def test_relative_entropies_match_logm_oracle():
+    rng = np.random.default_rng(14)
+    for dim in (2, 3, 4):
+        # full-rank reference; states of full rank, of rank 1, and the reference itself
+        ref = random_density(rng, dim, floor=0.2)
+        states = [random_density(rng, dim), random_density(rng, dim, rank=dim - 1),
+                  random_pure(rng, dim), ref]
+        # rank-deficient reference: states inside its support, and states leaking out of it
+        iso = random_unitary(rng, dim)[:, :dim - 1]
+
+        def inside(state):
+            return cq.DensityOperator(iso @ state.mat @ iso.conj().T)
+
+        low = inside(random_density(rng, dim - 1, floor=0.2))
+        contained = [low, inside(random_density(rng, dim - 1)), inside(random_pure(rng, dim - 1))]
+        leaking = [random_density(rng, dim), random_pure(rng, dim)]
+        for reference, group in ((ref, states), (low, contained + leaking)):
+            expected = [oracles.relative_entropy_logm(a, reference) for a in group]
+            batched = cq.relative_entropies(group, reference)
+            single = [cq.relative_entropy(a, reference) for a in group]
+            assert batched.shape == (len(group),)
+            for want, got, one in zip(expected, batched, single):
+                assert got == pytest.approx(want, abs=1e-12)
+                assert one == pytest.approx(want, abs=1e-12)
+        assert np.all(np.isfinite(cq.relative_entropies(contained, low)))
+        assert np.all(np.isinf(cq.relative_entropies(leaking, low)))
+    with pytest.raises(ValueError):
+        cq.relative_entropies([random_density(rng, 2)], random_density(rng, 3))
+
+
 def test_chi_squared_basics():
     rng = np.random.default_rng(2)
     rho = random_density(rng, 3, floor=0.2)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import cqcovert as cq
+from cqcovert import regime
 from cqcovert.regime import Regime, informative_symbols
 
 from helpers import (
@@ -12,6 +14,7 @@ from helpers import (
     permuted_channel,
     random_channel,
     random_density,
+    random_square_root_channel,
     random_unitary,
     two_symbol_example_channel,
 )
@@ -64,6 +67,8 @@ def test_support_condition_examples():
 
     ch = off_support_example_channel()
     assert cq.check_support_condition(ch) == [1]
+    # plain ints: the CLI writes them to JSON
+    assert type(cq.check_support_condition(ch)[0]) is int
 
     same = full_rank.sigma[0]
     all_equal = cq.CQWiretapChannel([same, same, same], full_rank.rho)
@@ -108,16 +113,19 @@ def test_classification_invariant_under_unitaries_and_permutations():
                 assert cq.classify(permuted_channel(ch, perm)).regime == base
 
 
-def test_uninformative_mixture_is_flagged_square_root():
-    # rho(0) is a mixture of rho(1), rho(2), but both carry sigma(x) = sigma(0):
-    # achievable rate is zero, reported as SquareRoot with the flag raised
+def uninformative_mixture_channel():
+    # rho(0) is a mixture of rho(1), rho(2), but both carry sigma(x) = sigma(0)
     sigma0 = diag_state(0.5, 0.5)
     sigma = [sigma0, sigma0, sigma0, diag_state(0.8, 0.2)]
     # symbol 3 deviates in an off-diagonal direction no mixture can cancel
     rho = [diag_state(0.5, 0.5), diag_state(0.75, 0.25), diag_state(0.25, 0.75),
            cq.DensityOperator(np.array([[0.5, 0.1], [0.1, 0.5]]))]
-    ch = cq.CQWiretapChannel(sigma, rho)
-    report = cq.classify(ch)
+    return cq.CQWiretapChannel(sigma, rho)
+
+
+def test_uninformative_mixture_is_flagged_square_root():
+    # achievable rate is zero, reported as SquareRoot with the flag raised
+    report = cq.classify(uninformative_mixture_channel())
     assert report.regime == Regime.SQUARE_ROOT
     assert report.mixture_witness is None
     assert report.mixture_on_uninformative_only
@@ -139,6 +147,35 @@ def test_uninformative_symbol_can_serve_as_mixture_component():
 def test_informative_symbols():
     ch = mixture_example_channel()
     assert informative_symbols(ch) == [1, 2]
+    assert all(type(x) is int for x in informative_symbols(ch))
     sigma0 = ch.sigma[0]
     ch2 = cq.CQWiretapChannel([sigma0, sigma0, ch.sigma[2]], ch.rho)
     assert informative_symbols(ch2) == [2]
+
+
+def test_classify_solves_a_second_lp_only_for_uninformative_symbols(monkeypatch):
+    # The flag's LP maximizes the mass on all nonzero symbols; when they are
+    # all informative it is the witness LP again and must not be re-solved.
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(regime, "linprog", counting_linprog)
+    rng = np.random.default_rng(15)
+    informative = random_square_root_channel(rng, 4, 2, 2)
+    assert informative_symbols(informative) == [1, 2, 3]
+    one_idle = cq.CQWiretapChannel(
+        [informative.sigma[0]] + list(informative.sigma[:3]), informative.rho)
+    cases = [
+        (informative, 1, False),
+        (uninformative_mixture_channel(), 2, True),
+        (one_idle, 2, False),
+    ]
+    for ch, lps, flagged in cases:
+        calls.clear()
+        report = cq.classify(ch)
+        assert report.regime == Regime.SQUARE_ROOT
+        assert report.mixture_on_uninformative_only is flagged
+        assert len(calls) == lps
