@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import dim_cap, tolerances
-from .channel import CQWiretapChannel, InputDistribution, sanitize, validate
+from .channel import CQWiretapChannel, InputDistribution, average_output_state, sanitize, validate
 from .channel_io import SCHEMA_VERSION, load_channel_data
 from .errors import (
     ChannelFormatError,
@@ -33,7 +33,6 @@ from .errors import (
     UnusableChannelError,
     WrongRegimeError,
 )
-from .operators import DensityOperator
 from .regime import classify
 from .scaling import (
     chi_sq_expansion_check,
@@ -172,8 +171,8 @@ def cmd_expansion_check(args) -> int:
     probs = np.zeros(ch.k)
     probs[1:] = 1.0 / (ch.k - 1)
     p_tilde = InputDistribution(probs)
-    rho_tilde = sum(p_tilde.probs[x] * ch.rho[x].mat for x in range(1, ch.k))
-    chi_report = chi_sq_expansion_check(ch.rho[0], DensityOperator(rho_tilde, validate=False), alphas)
+    rho_tilde = average_output_state(ch, p_tilde, "eavesdropper")
+    chi_report = chi_sq_expansion_check(ch.rho[0], rho_tilde, alphas)
     holevo_report = holevo_expansion_check(ch, p_tilde, alphas)
     scale = _to_bits if args.bits else (lambda v: v)
     _emit(_envelope({
@@ -243,9 +242,7 @@ def cmd_simulate(args) -> int:
             "meets_targets": r.meets_targets, "skipped": r.skipped,
         }
         if r.chain is not None:
-            chain = asdict(r.chain)
-            chain.pop("slack")
-            row["converse_chain"] = chain
+            row["converse_chain"] = asdict(r.chain)
         rows.append(row)
 
     _emit(_envelope({

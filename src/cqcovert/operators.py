@@ -103,10 +103,6 @@ class Projector(HermitianOperator):
             if err > PROJECTOR_TOL:
                 raise ValueError(f"not idempotent: ||P^2 - P|| = {err:.3e}")
 
-    @property
-    def rank(self) -> int:
-        return int(round(self.trace()))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

@@ -23,7 +23,7 @@ from .config import (
     STATE_EQUALITY_TOL,
     SUPPORT_TOL,
 )
-from .channel import CQWiretapChannel, InputDistribution
+from .channel import CQWiretapChannel, InputDistribution, average_output_state
 from .divergences import holevo_information, relative_entropies
 from .operators import hermitian_to_realvec
 
@@ -76,8 +76,8 @@ def _mixture_constraints(ch: CQWiretapChannel):
 
 def _mixture_residual(ch: CQWiretapChannel, probs) -> float:
     """Frobenius norm of Sum_x P(x) rho(x) - rho(0)."""
-    mix = sum(p * r.mat for p, r in zip(probs, ch.rho))
-    return float(np.linalg.norm(mix - ch.rho[0].mat))
+    mix = average_output_state(ch, probs, "eavesdropper")
+    return float(np.linalg.norm(mix.mat - ch.rho[0].mat))
 
 
 def _mixture_lp(ch: CQWiretapChannel):

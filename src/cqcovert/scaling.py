@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
@@ -74,14 +75,9 @@ def chi_sq_gram(ch: CQWiretapChannel) -> np.ndarray:
     _require_sanitized(ch)
     w, v = np.linalg.eigh(ch.rho[0].mat)
     inv = (v / w) @ v.conj().T
-    mats = [ch.rho[x].mat @ inv for x in range(1, ch.k)]
-    r = ch.k - 1
-    gram = np.empty((r, r))
-    for i in range(r):
-        for j in range(i, r):
-            val = np.einsum("ij,ji->", ch.rho[i + 1].mat, mats[j]).real
-            gram[i, j] = gram[j, i] = float(val)
-    return gram
+    mats = np.stack([r.mat for r in ch.rho[1:]])
+    gram = np.einsum("iab,jba->ij", mats, mats @ inv).real
+    return (gram + gram.T) / 2.0
 
 
 def _equality_kkt(a_mat, d, support):
@@ -202,23 +198,24 @@ def _ratio_at(d, gram, p_nonzero) -> float:
     return num / math.sqrt(0.5 * quad)
 
 
-def scaling_constant(ch: CQWiretapChannel, check_regime: bool = True) -> ScalingConstantResult:
+def scaling_constant(ch: CQWiretapChannel) -> ScalingConstantResult:
     """Scaling constant of the square-root law, in nats per sqrt(n delta).
 
     Maximizes the divergence-over-root-chi-squared ratio over distributions
-    on the nonzero symbols via the convex reformulation described in the
+    on every nonzero symbol via the convex reformulation described in the
     module docstring, then validates the optimum: the quadratic form must
     match its trace identity, and the ratio evaluated at the optimizer must
-    reproduce the constant.
+    reproduce the constant.  A symbol with sigma(x) = sigma(0) adds nothing
+    to the numerator but can still lower the chi-squared denominator, so it
+    stays in the optimization.  Raises WrongRegimeError outside the
+    square-root regime.
     """
-    _require_sanitized(ch)
-    if check_regime:
-        report = classify(ch)
-        if report.regime != Regime.SQUARE_ROOT:
-            raise WrongRegimeError(
-                f"scaling constant is defined in the square-root regime only; "
-                f"channel classified as {report.regime.value}"
-            )
+    report = classify(ch)
+    if report.regime != Regime.SQUARE_ROOT:
+        raise WrongRegimeError(
+            f"scaling constant is defined in the square-root regime only; "
+            f"channel classified as {report.regime.value}"
+        )
 
     d = divergence_vector(ch)
     gram = chi_sq_gram(ch)
@@ -227,10 +224,8 @@ def scaling_constant(ch: CQWiretapChannel, check_regime: bool = True) -> Scaling
     if wmin < -1e-9:
         raise ArithmeticError(f"centered Gram matrix has eigenvalue {wmin:.3e} < -1e-9")
 
-    # Symbols with sigma(x) = sigma(0) contribute nothing to the numerator
-    # and can only inflate the denominator; drop them before optimizing.
-    informative = [x - 1 for x in informative_symbols(ch)]
-    if not informative:
+    if not informative_symbols(ch):
+        # d vanishes up to rounding, so no v >= 0 has d^T v = 1.
         uniform = np.zeros(ch.k)
         uniform[1:] = 1.0 / (ch.k - 1)
         return ScalingConstantResult(
@@ -243,21 +238,19 @@ def scaling_constant(ch: CQWiretapChannel, check_regime: bool = True) -> Scaling
             support=(),
         )
 
-    sub = np.ix_(informative, informative)
-    v_sub, objective, kkt_residual = _solve_ray_qp(centered[sub], d[informative])
+    v, objective, kkt_residual = _solve_ray_qp(centered, d)
     if objective <= 1e-12:
         raise WrongRegimeError(
             "chi-squared denominator vanishes at the optimum: the channel "
             "admits a mixture and is not in the square-root regime"
         )
-    v = np.zeros(ch.k - 1)
-    v[informative] = v_sub
 
     # Runtime check of the identity that justifies convexity:
     # v^T (Q - 11^T) v = tr[(rho_v - s rho(0))^2 rho(0)^{-1}] with s = sum(v).
     s_total = float(v.sum())
-    mix = sum(v[x - 1] * ch.rho[x].mat for x in range(1, ch.k))
-    shifted = DensityOperator((mix / s_total), validate=False)
+    p_nonzero = v / s_total
+    probs = np.concatenate([[0.0], p_nonzero])
+    shifted = average_output_state(ch, probs, "eavesdropper")
     identity_rhs = (s_total ** 2) * chi_squared(shifted, ch.rho[0])
     identity_lhs = float(v @ centered @ v)
     if abs(identity_lhs - identity_rhs) > 1e-9 * max(1.0, abs(identity_lhs)):
@@ -266,14 +259,12 @@ def scaling_constant(ch: CQWiretapChannel, check_regime: bool = True) -> Scaling
         )
 
     value = 1.0 / math.sqrt(objective)
-    p_nonzero = v / s_total
     ratio = _ratio_at(d, gram, p_nonzero)
     if abs(ratio - value) > 1e-8 * max(1.0, value):
         raise ArithmeticError(
             f"ratio at optimizer ({ratio!r}) disagrees with QP value ({value!r})"
         )
 
-    probs = np.concatenate([[0.0], p_nonzero])
     optimizer = InputDistribution(probs)
     support = tuple(int(x) for x in np.nonzero(probs > 0.0)[0])
     return ScalingConstantResult(
@@ -302,8 +293,7 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float,
-                                 max_points: int = MAX_GRID_POINTS) -> float:
+def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float) -> float:
     """Brute-force maximum of the scaling ratio over a simplex grid.
 
     Enumerates every distribution on the nonzero symbols with entries that
@@ -319,9 +309,9 @@ def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float,
         raise ValueError(f"resolution {resolution} coarser than the whole simplex")
     r = ch.k - 1
     count = math.comb(steps + r - 1, r - 1)
-    if count > max_points:
+    if count > MAX_GRID_POINTS:
         raise DimensionCapError(
-            f"grid would contain {count} points, above the cap {max_points}"
+            f"grid would contain {count} points, above the cap {MAX_GRID_POINTS}"
         )
 
     grid = _compositions(steps, r).astype(float) / steps
@@ -486,10 +476,11 @@ def holevo_expansion_check(ch: CQWiretapChannel, p_tilde: InputDistribution,
     alphas = tuple(float(a) for a in alphas)
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ValueError("mixing weights must lie in (0, 1)")
-    limit = float(sum(
-        p_tilde.probs[x] * relative_entropy(ch.sigma[x], ch.sigma[0])
-        for x in range(1, ch.k) if p_tilde.probs[x] > 0.0
-    ))
+    # Only symbols with positive weight: a zero-weight sigma(x) outside
+    # supp(sigma(0)) has an infinite divergence but adds nothing to the limit.
+    used = np.flatnonzero(p_tilde.probs > 0.0)
+    limit = float(p_tilde.probs[used]
+                  @ relative_entropies([ch.sigma[x] for x in used], ch.sigma[0]))
     slopes = []
     for a in alphas:
         probs = a * p_tilde.probs.copy()
@@ -516,7 +507,7 @@ class ConverseChainReport:
     div_joint: float
     div_marginal_sum: float
     div_avg_scaled: float
-    slack: float = 1e-9
+    slack: ClassVar[float] = 1e-9
 
     @property
     def receiver_ok(self) -> bool:
@@ -566,10 +557,9 @@ def _chain_from_joint_terms(ch, codewords, weights, receiver_entropy: float,
     holevo_marginal_sum = float(sum(holevo_information(ch.sigma, p) for p in marginals))
     holevo_avg_scaled = n * holevo_information(ch.sigma, p_bar)
 
-    div_marginal_sum = float(sum(
-        relative_entropy(average_output_state(ch, p, "eavesdropper"), ch.rho[0])
-        for p in marginals
-    ))
+    div_marginal_sum = float(relative_entropies(
+        [average_output_state(ch, p, "eavesdropper") for p in marginals], ch.rho[0]
+    ).sum())
     div_avg_scaled = n * relative_entropy(
         average_output_state(ch, p_bar, "eavesdropper"), ch.rho[0]
     )

@@ -32,7 +32,7 @@ from .channel import (
     _mixture_divergence,
     _receiver_pass,
 )
-from .divergences import chi_squared, relative_entropy
+from .divergences import chi_squared, relative_entropies, relative_entropy
 from .errors import DimensionCapError, WrongRegimeError
 from .operators import (
     HermitianOperator,
@@ -41,7 +41,6 @@ from .operators import (
     positive_part_projector,
     tensor_power,
 )
-from .regime import Regime, classify
 from .scaling import ConverseChainReport, _chain_from_joint_terms, scaling_constant
 
 
@@ -255,10 +254,7 @@ def a_hat(ch: CQWiretapChannel, nonzero_dist: InputDistribution,
     chi2 = chi_squared(mix, ch.rho[0])
     if chi2 <= 1e-15:
         raise WrongRegimeError("nonzero-symbol mixture equals rho(0)")
-    numerator = float(sum(
-        nonzero_dist.probs[x] * relative_entropy(ch.rho[x], ch.rho[0])
-        for x in range(1, ch.k) if nonzero_dist.probs[x] > 0.0
-    ))
+    numerator = float(nonzero_dist.probs[1:] @ relative_entropies(ch.rho[1:], ch.rho[0]))
     return (1.0 - theta) * (1.0 - gamma) * (1.0 - beta) * numerator / math.sqrt(0.5 * chi2)
 
 
@@ -309,17 +305,13 @@ def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
                    gamma: float = 0.5, theta: float = 0.5, workers: int = 1) -> list:
     """Simulate every (n, M, seed) cell and report the full table.
 
-    The nonzero-symbol distribution is the scaling-constant optimizer of
-    the (square-root regime) channel.  Cells are independent; with
-    ``workers`` > 1 they run in a process pool.  Reports come back sorted
-    by (n, M, seed) regardless of completion order.
+    The nonzero-symbol distribution is the scaling-constant optimizer, so
+    a channel outside the square-root regime raises WrongRegimeError before
+    any cell runs.  Cells are independent; with ``workers`` > 1 they run
+    in a process pool.  Reports come back sorted by (n, M, seed) regardless
+    of completion order.
     """
-    report = classify(ch)
-    if report.regime != Regime.SQUARE_ROOT:
-        raise WrongRegimeError(
-            f"the sweep requires a square-root-regime channel, got {report.regime.value}"
-        )
-    nonzero = scaling_constant(ch, check_regime=False).optimizer
+    nonzero = scaling_constant(ch).optimizer
     a_hat_value = a_hat(ch, nonzero, theta, gamma, beta)
 
     cells = [

@@ -128,6 +128,16 @@ def two_symbol_example_channel():
     return cq.CQWiretapChannel(sigma, rho)
 
 
+def uninformative_symbol_example_channel():
+    """Diagonal k = 3 square-root channel whose symbol 2 is uninformative
+    (sigma(2) = sigma(0)) while rho(2) lies on the far side of rho(0) from
+    rho(1), so mixing it in lowers the chi-squared denominator of L."""
+    sigma = [diag_state(0.9, 0.1), diag_state(0.5, 0.5), diag_state(0.9, 0.1)]
+    rho = [diag_state(1 / 3, 1 / 3, 1 / 3), diag_state(0.4, 0.3, 0.3),
+           diag_state(0.3, 0.3, 0.4)]
+    return cq.CQWiretapChannel(sigma, rho)
+
+
 def off_support_example_channel():
     """sigma(0) is rank deficient and sigma(1) leaks off its support."""
     plus = np.full((2, 2), 0.5)

@@ -112,7 +112,7 @@ def test_criterion_02_classical_reduction():
         ok &= abs(cq.holevo_information(ch.sigma, weights)
                   - oracles.mutual_information(weights, sigma_diags)) <= 1e-9
 
-        result = cq.scaling_constant(ch, check_regime=False)
+        result = cq.scaling_constant(ch)
         d_s, gram_s = oracles.divergence_and_gram(sigma_diags, rho_diags)
         if k == 2:
             scalar = oracles.scaling_constant_two_symbols(d_s[0], gram_s[0, 0])

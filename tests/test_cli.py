@@ -19,6 +19,7 @@ from helpers import (
     random_square_root_channel,
     save_channel,
     two_symbol_example_channel,
+    uninformative_symbol_example_channel,
 )
 
 
@@ -179,6 +180,13 @@ def test_scaling_constant_command(tmp_path, capsys):
     assert payload["oracle"]["abs_diff"] <= 1e-9
 
 
+def test_scaling_constant_includes_uninformative_symbol(tmp_path, capsys):
+    path = write_channel(tmp_path, uninformative_symbol_example_channel())
+    code, payload = run(capsys, ["scaling-constant", path, "--oracle-resolution", "1e-3"])
+    assert code == 0
+    assert payload["oracle"]["abs_diff"] <= 1e-3 * payload["L"]
+
+
 def test_scaling_constant_wrong_regime(tmp_path, capsys):
     path = write_channel(tmp_path, mixture_example_channel())
     code, payload = run(capsys, ["scaling-constant", path])
@@ -232,6 +240,16 @@ def test_simulate_csv_in_missing_directory_fails_before_the_sweep(tmp_path, caps
     assert code == 8
     assert payload["error"] == "invalid-argument"
     assert payload["detail"] == f"--csv-out must name a file in a writable directory, got {csv_path!r}"
+
+
+def test_simulate_wrong_regime_writes_no_csv(tmp_path, capsys):
+    path = write_channel(tmp_path, mixture_example_channel())
+    csv_path = tmp_path / "sweep.csv"
+    code, payload = run(capsys, ["simulate", path, "--delta", "0.05", "--n-list", "2",
+                                 "--m-list", "2", "--seeds", "0", "--csv-out", str(csv_path)])
+    assert code == 4
+    assert payload["error"] == "wrong-regime"
+    assert not csv_path.exists()
 
 
 def _payload_with(**changes):

@@ -27,6 +27,7 @@ from helpers import (
     random_square_root_channel,
     random_unitary,
     two_symbol_example_channel,
+    uninformative_symbol_example_channel,
 )
 
 # frozen from the scalar derivation: d(1) = 0.75 ln 1.5 + 0.25 ln 0.5
@@ -132,6 +133,44 @@ def test_scaling_constant_matches_grid_oracle():
         tol = max(1e-4, 2.0 * resolution * float(np.linalg.norm(result.d)))
         assert oracle <= result.L + 1e-9  # grid lower-bounds the optimum
         assert abs(result.L - oracle) <= tol
+
+
+def assert_agrees_with_fine_grid_oracle(ch, value):
+    # 1e-3 for k <= 4; at k = 5 that grid has 1.7e8 points, above the
+    # oracle's MAX_GRID_POINTS cap, so there the step is 1/150.
+    oracle = cq.scaling_constant_grid_oracle(ch, 1e-3 if ch.k <= 4 else 1 / 150)
+    assert oracle - 1e-9 <= value <= oracle + 1e-3 * value
+
+
+def test_scaling_constant_uses_uninformative_symbol():
+    ch = uninformative_symbol_example_channel()
+    assert cq.classify(ch).regime == Regime.SQUARE_ROOT
+    result = cq.scaling_constant(ch)
+    assert_agrees_with_fine_grid_oracle(ch, result.L)
+    assert 2 in result.support
+
+
+def test_scaling_constant_with_uninformative_symbols_matches_grid_oracle():
+    # 1 to k - 2 nonzero receiver states equal sigma(0); such a symbol adds
+    # nothing to the numerator but can still lower the denominator.
+    rng = np.random.default_rng(33)  # the optimum uses such a symbol on 8 of its 30
+    checked = optimum_uses_them = 0
+    while checked < 30:
+        k = int(rng.integers(3, 6))
+        dz = int(rng.integers(2, 4))
+        sigma = [random_density(rng, 2, floor=0.2) for _ in range(k)]
+        rho = [random_density(rng, dz, floor=0.2) for _ in range(k)]
+        idle = 1 + rng.choice(k - 1, size=int(rng.integers(1, k - 1)), replace=False)
+        for x in idle:
+            sigma[x] = sigma[0]
+        ch = cq.CQWiretapChannel(sigma, rho)
+        if cq.classify(ch).regime != Regime.SQUARE_ROOT:
+            continue
+        checked += 1
+        result = cq.scaling_constant(ch)
+        assert_agrees_with_fine_grid_oracle(ch, result.L)
+        optimum_uses_them += bool(set(result.support) & set(idle.tolist()))
+    assert optimum_uses_them >= 5
 
 
 def test_scaling_constant_classical_reduction():
@@ -412,6 +451,19 @@ def test_holevo_expansion_two_symbol_slope():
     report = cq.holevo_expansion_check(ch, cq.InputDistribution([0.0, 1.0]), [1e-4])
     assert report.limit == pytest.approx(D1_EXPECTED, abs=1e-12)
     assert report.slopes[0] == pytest.approx(report.limit, rel=0.01)
+
+
+def test_holevo_expansion_limit_ignores_zero_weight_leaking_symbol():
+    # sigma(1) has support outside supp(sigma(0)): D(sigma(1) || sigma(0)) = inf.
+    ch = cq.CQWiretapChannel(
+        [diag_state(0.8, 0.2, 0.0), diag_state(0.3, 0.3, 0.4), diag_state(0.5, 0.5, 0.0)],
+        [diag_state(0.5, 0.5), diag_state(0.6, 0.4), diag_state(0.4, 0.6)],
+    )
+    report = cq.holevo_expansion_check(ch, cq.InputDistribution([0.0, 0.0, 1.0]), [1e-3])
+    assert report.limit == pytest.approx(math.log(1.25), abs=1e-12)
+    assert report.limit == pytest.approx(0.2231435513, abs=1e-10)
+    report = cq.holevo_expansion_check(ch, cq.InputDistribution([0.0, 0.5, 0.5]), [1e-3])
+    assert report.limit == float("inf")
 
 
 def test_holevo_expansion_unitary_invariance():
