@@ -48,7 +48,7 @@ COMMUTE_TOL = 1e-13
 MIXTURE_MASS_TOL = 1e-7
 MIXTURE_RESIDUAL_TOL = 1e-8
 
-# Convex-program policy for the throughput optimizations.
+# Convex-program policy; the iteration cap counts outer Frank-Wolfe iterations.
 KKT_TOL = 1e-9
 FRANK_WOLFE_GAP_TOL = 1e-7
 FRANK_WOLFE_MAX_ITERS = 10_000

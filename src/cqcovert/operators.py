@@ -165,6 +165,18 @@ def matrix_fn(a: HermitianOperator, f, on_support_only: bool = False) -> Hermiti
     return HermitianOperator((v * fw) @ v.conj().T)
 
 
+def dlog_kernel(w: np.ndarray) -> np.ndarray:
+    """Daleckii-Krein kernel K with Dlog(a)[X] = V (K * V^H X V) V^H for a = V diag(w) V^H
+    (Bhatia, Matrix Analysis, ch. V): K[i, j] = (log w_i - log w_j) / (w_i - w_j), or 1 / w_i
+    where the two are equal, and 0 in the rows and columns of w <= SUPPORT_TOL, off supp(a)."""
+    on = w > SUPPORT_TOL
+    safe = np.where(on, w, 1.0)
+    hi, lo = np.maximum.outer(safe, safe), np.minimum.outer(safe, safe)
+    with np.errstate(invalid="ignore"):
+        kernel = np.where(hi > lo, np.log1p((hi - lo) / lo) / (hi - lo), 1.0 / lo)
+    return np.where(np.outer(on, on), kernel, 0.0)
+
+
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product.  Trace-multiplicative; guarded by the dimension cap.
 

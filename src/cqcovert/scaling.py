@@ -13,7 +13,8 @@ program
 whose minimum m* gives the constant as 1/sqrt(m*).  One primal active-set
 method solves it for every alphabet size; its final support is certified
 by the KKT conditions, and the constant is cross-checked against a
-brute-force simplex grid.
+brute-force simplex grid.  The same QP, with d = 1, takes each Newton step
+of the covert-rate maximization, so both optimizers share one solver.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 
 from .config import (
     FRANK_WOLFE_GAP_TOL,
     FRANK_WOLFE_MAX_ITERS,
     KKT_TOL,
     MAX_GRID_POINTS,
+    SUPPORT_TOL,
 )
 from .channel import (
     CQWiretapChannel,
@@ -41,6 +43,7 @@ from .channel import (
 )
 from .divergences import (
     _clip_nonnegative,
+    _entropy_of_spectrum,
     chi_squared,
     holevo_information,
     relative_entropies,
@@ -48,7 +51,7 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .errors import DimensionCapError, WrongRegimeError
-from .operators import DensityOperator
+from .operators import DensityOperator, _support_leaks, dlog_kernel
 from .regime import (Regime, _mixture_constraints, _mixture_residual, _require_sanitized,
                      classify, informative_symbols)
 
@@ -279,18 +282,13 @@ def scaling_constant(ch: CQWiretapChannel) -> ScalingConstantResult:
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All length-``parts`` nonnegative integer vectors summing to ``total``."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack([first, total - first])
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    """All length-``parts`` nonnegative integer vectors summing to ``total``, lexicographically."""
+    cols, left = [], np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        rows = np.repeat(np.arange(len(left)), left + 1)
+        value = np.arange(len(rows)) - np.repeat(np.cumsum(left + 1) - (left + 1), left + 1)
+        cols, left = [c[rows] for c in cols] + [value], left[rows] - value
+    return np.column_stack(cols + [left])
 
 
 def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float) -> float:
@@ -349,76 +347,86 @@ class RateResult:
     converged: bool
 
 
+def _holevo_derivatives(states):
+    """``at(probs) -> (chi, gradient, hessian)`` of P -> chi(P) by one eigh of sigma_bar.  The
+    gradient D(sigma(x) || sigma_bar) - 1, infinite for sigma(x) outside supp(sigma_bar), is
+    capped there above every finite one; the Hessian is -tr[sigma(x) Dlog(sigma_bar)[sigma(y)]]."""
+    mats = np.stack([s.mat for s in states])
+    wa, va = np.linalg.eigh(mats)
+    entropies = np.array([_entropy_of_spectrum(w) for w in wa])
+
+    def at(probs):
+        wb, vb = np.linalg.eigh(np.tensordot(probs, mats, axes=1))
+        on = wb > SUPPORT_TOL
+        rotated = vb.conj().T @ mats @ vb
+        grad = -np.diagonal(rotated, axis1=1, axis2=2).real[:, on] @ np.log(wb[on]) - entropies - 1
+        leaks = _support_leaks(wa, va, wb, vb)
+        grad[leaks] = grad[~leaks].max(initial=0.0) + math.log(len(wb)) + 1.0
+        half = rotated.reshape(len(mats), -1) * np.sqrt(dlog_kernel(wb)).ravel()
+        return _entropy_of_spectrum(wb) - float(probs @ entropies), grad, -(half.conj() @ half.T).real
+
+    return at
+
+
 def covert_rate(ch: CQWiretapChannel) -> RateResult:
     """Maximum covert rate: Holevo information maximized over mixtures.
 
     In the positive-rate regime, maximizes chi(P) over the polytope of
-    distributions whose eavesdropper mixture reproduces rho(0), by
-    conditional-gradient ascent: linearize chi at the current point
-    (coordinate slope D(sigma(x) || sigma_bar) - 1), pick the best polytope
-    vertex by LP, and line-search along the segment.  Outside that regime
-    the rate is 0 with the point mass at the off symbol.
+    distributions whose eavesdropper mixture reproduces rho(0) by fully-
+    corrective Frank-Wolfe (Lacoste-Julien & Jaggi, 2015).  Its LP vertex
+    certifies each point by the gap, clipped at 0; damped Newton steps then
+    re-maximize chi over the hull of the active vertices until the hull's own
+    gap is below FRANK_WOLFE_GAP_TOL.  Otherwise the rate is 0 at the off symbol.
     """
     report = classify(ch)
     if report.regime != Regime.POSITIVE_RATE:
-        return RateResult(
-            rate=0.0,
-            optimizer=InputDistribution.point_mass(ch.k, 0),
-            feasibility_residual=0.0,
-            iterations=0,
-            gap=0.0,
-            converged=True,
-        )
+        return RateResult(rate=0.0, optimizer=InputDistribution.point_mass(ch.k, 0),
+                          feasibility_residual=0.0, iterations=0, gap=0.0, converged=True)
 
     a_eq, b_eq = _mixture_constraints(ch)
-
-    def chi_of(probs) -> float:
-        return holevo_information(ch.sigma, probs)
-
-    def gradient(probs) -> np.ndarray:
-        mix = average_output_state(ch, probs, "receiver")
-        g = relative_entropies(ch.sigma, mix) - 1.0
-        if np.any(np.isinf(g)):
-            finite_max = g[np.isfinite(g)].max() if np.any(np.isfinite(g)) else 0.0
-            g[np.isinf(g)] = finite_max + math.log(ch.receiver_dim) + 1.0
-        return g
-
-    current = np.array(report.mixture_witness.probs)
-    gap = float("inf")
-    iterations = 0
+    at = _holevo_derivatives(ch.sigma)
+    atoms, weights = np.array(report.mixture_witness.probs)[:, None], np.ones(1)
+    chi, grad, hess = at(atoms[:, 0])
+    gap, iterations = float("inf"), 0
     for iterations in range(1, FRANK_WOLFE_MAX_ITERS + 1):
-        g = gradient(current)
-        lp = linprog(-g, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        lp = linprog(-grad, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
         if lp.status != 0:
             raise RuntimeError(
                 f"vertex LP failed ({lp.message}); contradicts the PositiveRate classification"
             )
         vertex = np.clip(lp.x, 0.0, None)
         vertex = vertex / vertex.sum()
-        gap = float(g @ (vertex - current))
+        gap = max(0.0, float(grad @ (vertex - atoms @ weights)))
         if gap < FRANK_WOLFE_GAP_TOL:
             break
-        segment = vertex - current
+        atoms = np.column_stack([atoms[:, weights > 0.0], vertex])
+        weights = np.append(weights[weights > 0.0], 0.0)
+        slopes = atoms.T @ grad
+        while slopes.max() - slopes @ weights >= FRANK_WOLFE_GAP_TOL:
+            # max slopes^T s - s^T N s / 2 over s = u - weights is one ray QP with d = 1, as c^T u =
+            # u^T (c 1^T + 1 c^T) u / 2 on the simplex; the shift is for N singular (commuting letters).
+            newton = -atoms.T @ hess @ atoms
+            newton += SUPPORT_TOL * max(1.0, float(np.abs(newton).max())) * np.eye(len(weights))
+            c = slopes + newton @ weights
+            step = _solve_ray_qp(newton - c[:, None] - c[None, :], np.ones(len(weights)))[0]
+            step = step / step.sum() - weights
+            t, rise = 1.0, float(slopes @ step)
+            while rise > 0.0 and not np.array_equal(weights + t * step, weights):
+                trial = at(atoms @ (weights + t * step))
+                # Sufficient increase, or (by concavity) a nonnegative slope at the trial point.
+                if trial[0] >= chi + t * rise / 4 or trial[1] @ (atoms @ step) >= 0.0:
+                    break
+                t /= 2
+            else:
+                raise ArithmeticError("Newton step on the active vertices found no ascent")
+            weights, (chi, grad, hess) = weights + t * step, trial
+            slopes = atoms.T @ grad
 
-        def objective(t: float) -> float:
-            return -chi_of(current + t * segment)
-
-        res = minimize_scalar(objective, bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-12})
-        candidates = [float(res.x), 1.0]
-        best_t = max(candidates, key=lambda t: chi_of(current + t * segment))
-        if chi_of(current + best_t * segment) <= chi_of(current):
-            break
-        current = current + best_t * segment
-
-    return RateResult(
-        rate=chi_of(current),
-        optimizer=InputDistribution(current),
-        feasibility_residual=_mixture_residual(ch, current),
-        iterations=iterations,
-        gap=gap,
-        converged=gap < FRANK_WOLFE_GAP_TOL,
-    )
+    current = atoms @ weights
+    return RateResult(rate=_clip_nonnegative(chi, "Holevo information"),
+                      optimizer=InputDistribution(current),
+                      feasibility_residual=_mixture_residual(ch, current),
+                      iterations=iterations, gap=gap, converged=gap < FRANK_WOLFE_GAP_TOL)
 
 
 @dataclass(frozen=True)

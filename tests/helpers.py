@@ -138,6 +138,22 @@ def uninformative_symbol_example_channel():
     return cq.CQWiretapChannel(sigma, rho)
 
 
+def leaking_receiver_example_channel():
+    """k = 5 positive-rate channel with pure receiver states and covert rate ln 3.
+
+    The classify witness (.5, .25, .25, 0, 0) has a singular receiver mixture
+    that sigma(3) = |2><2| leaves; the optimum (0, 1/6, 1/6, 1/3, 1/3) mixes
+    rho(3) = I/2 + X/10 and rho(4) = I/2 - X/10 to reach rho(0) = I/2.
+    """
+    ket = [np.diag(np.eye(3)[j]).astype(complex) for j in range(3)]
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma = [cq.DensityOperator(ket[j]) for j in (0, 1, 1, 2, 0)]
+    rho = [diag_state(0.5, 0.5), diag_state(0.75, 0.25), diag_state(0.25, 0.75),
+           cq.DensityOperator(np.eye(2) / 2 + 0.1 * pauli_x),
+           cq.DensityOperator(np.eye(2) / 2 - 0.1 * pauli_x)]
+    return cq.CQWiretapChannel(sigma, rho)
+
+
 def off_support_example_channel():
     """sigma(0) is rank deficient and sigma(1) leaks off its support."""
     plus = np.full((2, 2), 0.5)

@@ -18,6 +18,10 @@ explicit projectors.
 The ray-QP reference enumerates supports, the exponential method the
 package's active-set solver replaced, and certifies each with the package's
 own KKT check.
+
+The covert-rate reference maximizes the Holevo information with scipy's
+SLSQP, from its own entropies and gradient, instead of the package's
+Frank-Wolfe and Newton path.
 """
 
 import math
@@ -26,6 +30,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg import logm
+from scipy.optimize import minimize
 
 import cqcovert as cq
 from cqcovert.scaling import _kkt_candidate
@@ -95,6 +100,45 @@ def enumerated_ray_qp(a_mat, d):
             if found is not None:
                 return found
     raise ArithmeticError("no KKT-verified support exists; inputs are degenerate")
+
+
+def slsqp_covert_rate(sigma_mats, rho_mats, start) -> float:
+    """max chi(P) over P >= 0 with Sum_x P(x) rho(x) = rho(0), by SLSQP from ``start``.
+
+    chi(P) = S(Sum_x P(x) sigma(x)) - Sum_x P(x) S(sigma(x)), with gradient
+    -tr[sigma(x) log sigma_bar] - S(sigma(x)) - 1; it needs full-rank
+    mixtures.  The equality rows are the Hermitian coordinates of rho(x) and
+    the normalization, reduced to an orthonormal basis of their row space
+    because SLSQP stalls on dependent rows.
+    """
+    sigma = np.stack([np.asarray(m) for m in sigma_mats])
+    rho = np.stack([np.asarray(m) for m in rho_mats])
+    letter_entropy = np.array([entropy(np.linalg.eigvalsh(m)) for m in sigma])
+    rows, cols = np.triu_indices(rho.shape[-1], k=1)
+    coords = np.concatenate([np.diagonal(rho, axis1=1, axis2=2).real,
+                             rho[:, rows, cols].real, rho[:, rows, cols].imag], axis=1)
+    a_eq = np.vstack([coords.T, np.ones(len(rho))])
+    b_eq = np.concatenate([coords[0], [1.0]])
+    u, sv, vt = np.linalg.svd(a_eq, full_matrices=False)
+    rank = int((sv > 1e-10 * sv[0]).sum())
+    a_eq, b_eq = vt[:rank], (u[:, :rank].T @ b_eq) / sv[:rank]
+
+    def negative_chi(p):
+        w, v = np.linalg.eigh(np.tensordot(p, sigma, axes=1))
+        w = np.clip(w, 1e-300, None)
+        log_mix = (v * np.log(w)) @ v.conj().T
+        value = -float(w @ np.log(w)) - float(p @ letter_entropy)
+        grad = -np.einsum("xij,ji->x", sigma, log_mix).real - letter_entropy - 1.0
+        return -value, -grad
+
+    res = minimize(negative_chi, np.asarray(start, dtype=float), jac=True, method="SLSQP",
+                   bounds=[(0.0, 1.0)] * len(rho),
+                   constraints=[{"type": "eq", "fun": lambda p: a_eq @ p - b_eq,
+                                 "jac": lambda p: a_eq}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    if np.abs(a_eq @ res.x - b_eq).max() > 1e-9:
+        raise ArithmeticError(f"SLSQP left the mixture polytope: {res.message}")
+    return -float(res.fun)
 
 
 def kubo_mori_quadratic(rho0_mat, tilde_mat) -> float:

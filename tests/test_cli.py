@@ -12,6 +12,7 @@ from cqcovert.cli import main
 
 from helpers import (
     channel_to_payload,
+    leaking_receiver_example_channel,
     matrix_to_pairs,
     mixture_example_channel,
     off_support_example_channel,
@@ -128,6 +129,17 @@ def test_rate_positive_channel_with_bits(tmp_path, capsys):
     code, payload = run(capsys, ["rate", path, "--bits"])
     assert payload["units"] == "bits"
     assert payload["rate"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_rate_converges_past_singular_witness_mixture(tmp_path, capsys):
+    # Frank-Wolfe with a line search stopped 1.1e-5 below ln 3 here after
+    # 10,000 iterations and exited 6.
+    path = write_channel(tmp_path, leaking_receiver_example_channel())
+    code, payload = run(capsys, ["rate", path])
+    assert code == 0
+    assert payload["converged"] is True
+    assert 0.0 <= payload["gap"] < payload["tolerances"]["frank_wolfe_gap_tol"]
+    assert payload["rate"] == pytest.approx(math.log(3), abs=1e-9)
 
 
 def test_rate_reports_non_convergence(tmp_path, capsys, monkeypatch):

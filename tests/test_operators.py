@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 
 import cqcovert as cq
 from cqcovert.errors import DimensionCapError
-from cqcovert.operators import support_is_contained
+from cqcovert.operators import dlog_kernel, support_is_contained
 
 import oracles
-from helpers import random_density, random_hermitian, random_pure
+from helpers import random_density, random_hermitian, random_pure, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 
@@ -231,6 +232,56 @@ def test_pinch_full_dephasing():
     b = cq.HermitianOperator(np.diag([3.0, 2.0, 1.0]))
     out = cq.pinch(a, b)
     assert np.abs(out.mat - np.diag(np.diag(a.mat))).max() < 1e-12
+
+
+def kernel_quadratic(rho0, tilde):
+    """Sum_ij |X_ij|^2 K_ij with X = tilde - rho0 in the eigenbasis of rho0."""
+    w, v = np.linalg.eigh(rho0)
+    x = v.conj().T @ (tilde - rho0) @ v
+    return float((np.abs(x) ** 2 * dlog_kernel(w)).sum())
+
+
+def test_dlog_kernel_matches_kubo_mori_on_full_rank_states():
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 4):
+        rho0 = random_density(rng, dim, floor=0.1).mat
+        tilde = random_density(rng, dim, floor=0.1).mat
+        assert kernel_quadratic(rho0, tilde) == pytest.approx(
+            oracles.kubo_mori_quadratic(rho0, tilde), rel=1e-12)
+        # Dlog(rho0)[X] against a central difference of scipy's logm.
+        w, v = np.linalg.eigh(rho0)
+        x = random_hermitian(rng, dim, scale=0.1).mat
+        dlog = v @ (dlog_kernel(w) * (v.conj().T @ x @ v)) @ v.conj().T
+        h = 1e-5
+        assert np.allclose(dlog, (logm(rho0 + h * x) - logm(rho0 - h * x)) / (2 * h), atol=1e-8)
+
+
+def test_dlog_kernel_on_degenerate_spectrum():
+    rng = np.random.default_rng(32)
+    u = random_unitary(rng, 3)
+    rho0 = u @ np.diag([0.25, 0.25, 0.5]) @ u.conj().T
+    tilde = random_density(rng, 3, floor=0.1).mat
+    w = np.linalg.eigvalsh(rho0)
+    assert dlog_kernel(w)[0, 1] == pytest.approx(4.0, rel=1e-12)
+    assert kernel_quadratic(rho0, tilde) == pytest.approx(
+        oracles.kubo_mori_quadratic(rho0, tilde), rel=1e-12)
+
+
+def test_dlog_kernel_on_rank_deficient_reference():
+    # Both states live on a 2-dimensional subspace of C^3; the kernel is taken
+    # on supp(rho0), where it must match the Kubo-Mori form of the compressed pair.
+    rng = np.random.default_rng(33)
+    basis = random_unitary(rng, 3)[:, :2]
+    small0 = random_density(rng, 2, floor=0.1).mat
+    small1 = random_density(rng, 2, floor=0.1).mat
+    rho0, tilde = basis @ small0 @ basis.conj().T, basis @ small1 @ basis.conj().T
+    w = np.linalg.eigvalsh(rho0)
+    kernel = dlog_kernel(w)
+    off = w <= 1e-12
+    assert off.sum() == 1 and not kernel[off].any() and not kernel[:, off].any()
+    assert np.isfinite(kernel).all()
+    assert kernel_quadratic(rho0, tilde) == pytest.approx(
+        oracles.kubo_mori_quadratic(small0, small1), rel=1e-10)
 
 
 def test_pinch_properties():

@@ -1,3 +1,5 @@
+import importlib.util
+import itertools
 import json
 import math
 import os
@@ -10,15 +12,16 @@ import numpy as np
 import pytest
 
 import cqcovert as cq
-from cqcovert.config import KKT_TOL
+from cqcovert.config import FRANK_WOLFE_GAP_TOL, KKT_TOL
 from cqcovert.errors import DimensionCapError, WrongRegimeError
 from cqcovert.regime import Regime
-from cqcovert.scaling import _solve_ray_qp
+from cqcovert.scaling import _compositions, _holevo_derivatives, _solve_ray_qp
 
 import oracles
 from helpers import (
     conjugated_channel,
     diag_state,
+    leaking_receiver_example_channel,
     mixture_example_channel,
     permuted_channel,
     random_density,
@@ -338,6 +341,13 @@ def test_grid_oracle_monotone_in_resolution():
     assert coarse <= fine + 1e-12 <= finer + 2e-12
 
 
+def test_compositions_enumerate_the_grid_in_lexicographic_order():
+    for total, parts in [(10, 4), (6, 3), (5, 2), (4, 1)]:
+        expected = [c for c in itertools.product(range(total + 1), repeat=parts)
+                    if sum(c) == total]
+        assert _compositions(total, parts).tolist() == [list(c) for c in expected]
+
+
 def test_grid_oracle_cap():
     rng = np.random.default_rng(8)
     ch = random_square_root_channel(rng, 4, 2, 2)
@@ -388,6 +398,90 @@ def test_covert_rate_unitary_invariance():
         u = random_unitary(rng, 2)
         rotated = cq.covert_rate(conjugated_channel(ch, u_receiver=u)).rate
         assert rotated == pytest.approx(base, abs=1e-6)
+
+
+def bench_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def positive_rate_draws(count):
+    """The first ``count`` channels of the default_rng(11) stream of
+    ``bench/inputs.positive_rate_channel``: dZ = 2, k ~ U{3..8}, dY ~ U{2,3}."""
+    inputs = bench_inputs()
+    rng = np.random.default_rng(11)
+    draws = []
+    for _ in range(count):
+        k = rng.integers(3, 9)
+        dy = rng.integers(2, 4)
+        sigma, rho = inputs.positive_rate_channel(rng, k, 2, dy)
+        draws.append(cq.sanitize(cq.CQWiretapChannel.from_matrices(sigma, rho))[0])
+    return draws
+
+
+@pytest.mark.parametrize("index", [2, 7, 21, 33])
+def test_covert_rate_converges_on_wide_alphabet_draw(monkeypatch, index):
+    # k - 1 > dZ^2: Frank-Wolfe with a line search along one segment was still
+    # 1e-4 to 3e-4 nats short of the optimum after 300 iterations here.
+    monkeypatch.setattr("cqcovert.scaling.FRANK_WOLFE_MAX_ITERS", 300)
+    ch = positive_rate_draws(index + 1)[index]
+    result = cq.covert_rate(ch)
+    assert result.converged
+    assert 0.0 <= result.gap < FRANK_WOLFE_GAP_TOL
+    reference = oracles.slsqp_covert_rate([s.mat for s in ch.sigma], [r.mat for r in ch.rho],
+                                          cq.classify(ch).mixture_witness.probs)
+    assert result.rate >= reference - 1e-9
+
+
+def test_covert_rate_gap_is_never_negative():
+    # LP rounding put the raw Frank-Wolfe gap below 0, down to -2.4e-9, on 14 of these.
+    for ch in positive_rate_draws(60):
+        result = cq.covert_rate(ch)
+        assert result.converged and result.gap >= 0.0
+
+
+def test_covert_rate_with_diagonal_receivers():
+    # Commuting receiver letters make the Newton matrix on the active vertices
+    # singular; without its diagonal shift, 4 of these 20 failed KKT verification.
+    inputs = bench_inputs()
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        k, dz, dy = int(rng.integers(3, 20)), int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        _, rho = inputs.positive_rate_channel(rng, k, dz, dy)
+        sigma = [np.diag(rng.dirichlet(np.ones(dy))) for _ in range(k)]
+        result = cq.covert_rate(cq.sanitize(cq.CQWiretapChannel.from_matrices(sigma, rho))[0])
+        assert result.converged and result.gap >= 0.0
+
+
+def test_covert_rate_leaves_singular_witness_mixture():
+    result = cq.covert_rate(leaking_receiver_example_channel())
+    assert result.converged
+    assert result.rate == pytest.approx(math.log(3), abs=1e-9)
+    assert result.feasibility_residual <= 1e-8
+
+
+def test_holevo_derivatives_match_central_differences():
+    rng = np.random.default_rng(44)
+    h = 1e-4
+    for dy in (2, 3):
+        states = [random_density(rng, dy, floor=0.1) for _ in range(4)]
+        p = rng.dirichlet(np.ones(4))
+        chi, grad, hess = _holevo_derivatives(states)(p)
+
+        def f(q):
+            return cq.holevo_information(states, q)
+
+        e = np.eye(4) * h
+        fd_grad = [(f(p + e[x]) - f(p - e[x])) / (2 * h) for x in range(4)]
+        fd_hess = [[(f(p + e[x] + e[y]) - f(p + e[x] - e[y]) - f(p - e[x] + e[y])
+                     + f(p - e[x] - e[y])) / (4 * h * h) for y in range(4)] for x in range(4)]
+        assert chi == pytest.approx(f(p), abs=1e-12)
+        assert np.allclose(grad, fd_grad, rtol=1e-7, atol=1e-9)
+        assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-8)
+        assert np.linalg.eigvalsh(hess).max() <= 1e-12
 
 
 def test_chi_sq_expansion_degenerate():
