@@ -28,12 +28,7 @@ from .errors import (
 from .operators import (
     DensityOperator,
     HermitianOperator,
-    Projector,
-    SpectralDecomposition,
-    eig_hermitian,
     matrix_fn,
-    pinch,
-    positive_part_projector,
     tensor_power,
     tensor_product,
 )

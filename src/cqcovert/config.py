@@ -23,9 +23,6 @@ PSD_TOL = 1e-10
 # Allowed deviation of a density matrix trace from 1.
 TRACE_TOL = 1e-10
 
-# Idempotence slack for projectors.
-PROJECTOR_TOL = 1e-10
-
 # Eigenvalues closer than this are merged into one spectral group (pinching).
 GROUP_TOL = 1e-9
 
@@ -82,7 +79,6 @@ def tolerances() -> dict:
         "hermiticity_tol": HERMITICITY_TOL,
         "psd_tol": PSD_TOL,
         "trace_tol": TRACE_TOL,
-        "projector_tol": PROJECTOR_TOL,
         "group_tol": GROUP_TOL,
         "support_inclusion_tol": SUPPORT_INCLUSION_TOL,
         "nats_clip": NATS_CLIP,

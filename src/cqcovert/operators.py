@@ -1,9 +1,9 @@
 """Exact dense Hermitian operator algebra on small finite-dimensional spaces.
 
 Thin validated containers around complex numpy matrices, plus the spectral
-operations everything else is built on: eigendecomposition with degenerate
-grouping, eigenbasis matrix functions, tensor products, positive-part
-projectors, and pinching.
+operations everything else is built on: eigenbasis matrix functions, the
+Daleckii-Krein kernel of the logarithm, tensor products, and support
+inclusion.
 
 All containers are immutable after construction and all functions are pure,
 so values can be shared freely across threads or worker processes.
@@ -11,13 +11,9 @@ so values can be shared freely across threads or worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import (
-    GROUP_TOL,
-    PROJECTOR_TOL,
     PSD_TOL,
     SUPPORT_INCLUSION_TOL,
     SUPPORT_TOL,
@@ -93,53 +89,6 @@ class DensityOperator(HermitianOperator):
             self.mat = mat
 
 
-class Projector(HermitianOperator):
-    """Hermitian idempotent (all eigenvalues 0 or 1)."""
-
-    def __init__(self, mat, validate: bool = True):
-        super().__init__(mat)
-        if validate:
-            err = np.linalg.norm(self.mat @ self.mat - self.mat)
-            if err > PROJECTOR_TOL:
-                raise ValueError(f"not idempotent: ||P^2 - P|| = {err:.3e}")
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Grouped eigendecomposition: one projector per near-degenerate group.
-
-    ``eigenvalues`` holds one representative (group mean) per group, sorted
-    descending; ``projectors`` are the matching orthogonal group projectors.
-    """
-
-    eigenvalues: np.ndarray
-    projectors: tuple
-
-
-def eig_hermitian(a: HermitianOperator, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
-    """Spectral decomposition with eigenvalues within ``group_tol`` merged.
-
-    Merging a near-degenerate pair only coarsens downstream pinching; the
-    reconstruction Sum_i lambda_i P_i still recovers ``a`` to within the
-    grouping width.
-    """
-    w, v = np.linalg.eigh(a.mat)
-    if not np.all(np.isfinite(w)):
-        raise ArithmeticError("eigensolver returned non-finite eigenvalues")
-    w = w[::-1]
-    v = v[:, ::-1]
-    eigenvalues = []
-    projectors = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i - 1] - w[i] > group_tol:
-            block = v[:, start:i]
-            eigenvalues.append(float(np.mean(w[start:i])))
-            projectors.append(block @ block.conj().T)
-            start = i
-    return SpectralDecomposition(np.array(eigenvalues), tuple(projectors))
-
-
 def matrix_fn(a: HermitianOperator, f, on_support_only: bool = False) -> HermitianOperator:
     """Apply a scalar function to a Hermitian operator in its eigenbasis.
 
@@ -201,30 +150,6 @@ def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
     for _ in range(n - 1):
         out = tensor_product(out, a)
     return out
-
-
-def positive_part_projector(a: HermitianOperator) -> Projector:
-    """Projector onto eigenvectors with strictly positive eigenvalue."""
-    w, v = np.linalg.eigh(a.mat)
-    cols = v[:, w > SUPPORT_TOL]
-    return Projector(cols @ cols.conj().T, validate=False)
-
-
-def pinch(a: HermitianOperator, b: HermitianOperator, group_tol: float = GROUP_TOL) -> HermitianOperator:
-    """Dephase ``a`` in the eigenbasis of ``b``: Sum_i P_i a P_i.
-
-    The result commutes with ``b`` and has the same trace as ``a``; on PSD
-    input it stays PSD.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    dec = eig_hermitian(b, group_tol)
-    out = np.zeros((a.dim, a.dim), dtype=np.complex128)
-    for proj in dec.projectors:
-        out += proj @ a.mat @ proj
-    if isinstance(a, DensityOperator):
-        return DensityOperator(out, validate=False)
-    return HermitianOperator(out)
 
 
 def support_is_contained(a: HermitianOperator, b: HermitianOperator,

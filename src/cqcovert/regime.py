@@ -61,9 +61,9 @@ def informative_symbols(ch: CQWiretapChannel) -> list:
     return [x for x, gap in zip(range(1, ch.k), gaps) if gap > STATE_EQUALITY_TOL]
 
 
-def _require_sanitized(ch: CQWiretapChannel):
-    w = np.linalg.eigvalsh(ch.rho[0].mat)
-    if w[0] <= SUPPORT_TOL:
+def _require_sanitized(rho0_spectrum: np.ndarray):
+    """Reject an unsanitized channel, given the ascending spectrum of its rho(0)."""
+    if rho0_spectrum[0] <= SUPPORT_TOL:
         raise ValueError("channel is not sanitized: rho(0) is singular")
 
 
@@ -139,16 +139,15 @@ def _mixture_lp(ch: CQWiretapChannel):
 
 def check_support_condition(ch: CQWiretapChannel) -> list:
     """Symbols whose receiver state has support outside supp(sigma(0))."""
-    _require_sanitized(ch)
+    _require_sanitized(np.linalg.eigvalsh(ch.rho[0].mat))
     divergences = relative_entropies(ch.sigma[1:], ch.sigma[0])
     return [x for x, d in zip(range(1, ch.k), divergences) if np.isinf(d)]
 
 
 def classify(ch: CQWiretapChannel) -> RegimeReport:
     """Classify a sanitized channel into its covert-throughput regime."""
-    _require_sanitized(ch)
+    violations = tuple(check_support_condition(ch))  # first: it rejects an unsanitized channel
     witness, residual, uninformative_only = _mixture_lp(ch)
-    violations = tuple(check_support_condition(ch))
     if witness is not None:
         regime = Regime.POSITIVE_RATE
     elif violations:

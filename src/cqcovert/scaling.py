@@ -75,8 +75,8 @@ def chi_sq_gram(ch: CQWiretapChannel) -> np.ndarray:
     unchanged, so p^T Q p - 1 equals the chi-squared divergence of the
     p-mixture from rho(0) for any probability vector p.
     """
-    _require_sanitized(ch)
     w, v = np.linalg.eigh(ch.rho[0].mat)
+    _require_sanitized(w)
     inv = (v / w) @ v.conj().T
     mats = np.stack([r.mat for r in ch.rho[1:]])
     gram = np.einsum("iab,jba->ij", mats, mats @ inv).real
@@ -299,7 +299,7 @@ def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float) -> flo
     result lower-bounds the true constant and is the designated validation
     oracle for :func:`scaling_constant`.
     """
-    _require_sanitized(ch)
+    gram = chi_sq_gram(ch)  # first: it rejects an unsanitized channel
     if ch.k > 5:
         raise DimensionCapError("grid oracle is limited to alphabets of size k <= 5")
     steps = int(round(1.0 / resolution))
@@ -314,7 +314,6 @@ def scaling_constant_grid_oracle(ch: CQWiretapChannel, resolution: float) -> flo
 
     grid = _compositions(steps, r).astype(float) / steps
     d = divergence_vector(ch)
-    gram = chi_sq_gram(ch)
     centered = gram - 1.0
 
     num = grid @ d
@@ -562,8 +561,13 @@ def _chain_from_joint_terms(ch, codewords, weights, receiver_entropy: float,
 
     conditional = float(_letter_mass(codewords, weights, ch.k) @ sigma_entropy)
     holevo_joint = _clip_nonnegative(receiver_entropy - conditional, "joint Holevo information")
-    holevo_marginal_sum = float(sum(holevo_information(ch.sigma, p) for p in marginals))
-    holevo_avg_scaled = n * holevo_information(ch.sigma, p_bar)
+    # Holevo information of the n marginals and of p_bar: one stacked eigvalsh of their mixtures.
+    dists = np.array(marginals + [p_bar])
+    mixes = np.tensordot(dists, np.stack([s.mat for s in ch.sigma]), axes=1)
+    holevo = [_clip_nonnegative(_entropy_of_spectrum(w) - c, "Holevo information")
+              for w, c in zip(np.linalg.eigvalsh(mixes), dists @ sigma_entropy)]
+    holevo_marginal_sum = float(sum(holevo[:-1]))
+    holevo_avg_scaled = n * holevo[-1]
 
     div_marginal_sum = float(relative_entropies(
         [average_output_state(ch, p, "eavesdropper") for p in marginals], ch.rho[0]

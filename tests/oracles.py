@@ -11,6 +11,11 @@ the idle state, the per-letter support rule, the head and tail factors of the
 square-root measurement, the spectrum of commuting letters), only its
 single-letter functionals on the dense matrices.
 
+The pinching reference groups the spectrum of the whole n-letter average
+state by one dense eigensolve, pinches with one projector per group and takes
+the positive part by a second dense eigensolve, instead of the package's
+block-by-block path on the product spectrum.
+
 The relative-entropy reference takes its logarithms with scipy's
 Schur-Pade ``logm`` instead of an eigenbasis, on supports cut out by
 explicit projectors.
@@ -233,14 +238,53 @@ def partial_trace(a, factor_dims, keep: int):
     return cq.HermitianOperator(out)
 
 
-def support_projector(a):
-    """Projector onto the span of eigenvectors with eigenvalue > 1e-12;
-    ``a`` must be positive semidefinite within 1e-10."""
+def positive_part_projector(a):
+    """Projector onto the span of eigenvectors with eigenvalue > 1e-12."""
     w, v = np.linalg.eigh(a.mat)
+    cols = v[:, w > 1e-12]
+    return cq.HermitianOperator(cols @ cols.conj().T)
+
+
+def support_projector(a):
+    """Projector onto the support of ``a``, which must be positive
+    semidefinite within 1e-10."""
+    w = np.linalg.eigvalsh(a.mat)
     if w[0] < -1e-10:
         raise ValueError(f"eigenvalue {w[0]:.3e} below the -1e-10 floor")
-    cols = v[:, w > 1e-12]
-    return cq.Projector(cols @ cols.conj().T, validate=False)
+    return positive_part_projector(a)
+
+
+def eig_groups(b, group_tol=1e-9) -> tuple:
+    """``(eigenvalues, projectors)``: the spectrum of ``b`` sorted descending and
+    split where neighbours differ by more than ``group_tol``, with the mean
+    and the orthogonal projector of each group."""
+    w, v = np.linalg.eigh(b.mat)
+    w, v = w[::-1], v[:, ::-1]
+    cuts = np.flatnonzero(w[:-1] - w[1:] > group_tol) + 1
+    means = np.array([g.mean() for g in np.split(w, cuts)])
+    return means, [c @ c.conj().T for c in np.split(v, cuts, axis=1)]
+
+
+def pinch(a, b, group_tol=1e-9):
+    """Dephase ``a`` in the grouped eigenbasis of ``b``: Sum_g P_g a P_g."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return cq.HermitianOperator(sum(p @ a.mat @ p for p in eig_groups(b, group_tol)[1]))
+
+
+def dense_pinched_test_statistic(ch, pn, codeword, levels, delta) -> list:
+    """tr[rho_x P] at each level a, with P the positive-part projector of
+    pinch(rho_x, m) - e^{sqrt(n delta) a} m, where rho_x is the codeword's
+    eavesdropper state and m the n-th tensor power of the pn-average letter,
+    both built by ``np.kron``."""
+    n = len(codeword)
+    state = cq.HermitianOperator(reduce(np.kron, [ch.rho[x].mat for x in codeword]))
+    mix = sum(p * r.mat for p, r in zip(pn.probs, ch.rho))
+    avg = cq.HermitianOperator(reduce(np.kron, [mix] * n))
+    pinched = pinch(state, avg).mat
+    projectors = [positive_part_projector(cq.HermitianOperator(
+        pinched - math.exp(math.sqrt(n * delta) * a) * avg.mat)) for a in levels]
+    return [float(np.einsum("ij,ji->", state.mat, p.mat).real) for p in projectors]
 
 
 def trace_norm(a) -> float:

@@ -93,6 +93,21 @@ def test_classify_requires_sanitized_channel():
     cq.classify(clean)
 
 
+@pytest.mark.parametrize("entry, args", [
+    ("classify", ()),
+    ("check_support_condition", ()),
+    ("chi_sq_gram", ()),
+    ("scaling_constant", ()),
+    ("scaling_constant_grid_oracle", (0.1,)),
+])
+def test_unsanitized_channel_is_rejected_by_every_entry_point(entry, args):
+    rank1 = cq.DensityOperator(np.diag([1.0, 0.0]))
+    ch = cq.CQWiretapChannel([diag_state(0.5, 0.5), diag_state(0.8, 0.2), diag_state(0.6, 0.4)],
+                             [rank1, rank1, diag_state(0.9, 0.1)])
+    with pytest.raises(ValueError, match="channel is not sanitized: rho\\(0\\) is singular"):
+        getattr(cq, entry)(ch, *args)
+
+
 def test_classification_invariant_under_unitaries_and_permutations():
     rng = np.random.default_rng(2)
     channels = [

@@ -618,6 +618,21 @@ def test_converse_chain_matches_dense_references():
         assert report.receiver_ok and report.eavesdropper_ok
 
 
+def test_converse_chain_single_letter_links_match_holevo_information():
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        ch = random_channel(rng, 3, 3, 2)
+        m = int(rng.integers(1, 6))
+        codewords = rng.integers(0, 3, size=(m, n))
+        weights = rng.dirichlet(np.ones(m))
+        report = cq.converse_chain(ch, codewords, weights, strict=False)
+        marginals = [np.bincount(codewords[:, i], weights=weights, minlength=3) for i in range(n)]
+        expected = sum(cq.holevo_information(ch.sigma, p) for p in marginals)
+        assert report.holevo_marginal_sum == pytest.approx(expected, abs=1e-12)
+        expected = n * cq.holevo_information(ch.sigma, np.mean(marginals, axis=0))
+        assert report.holevo_avg_scaled == pytest.approx(expected, abs=1e-12)
+
+
 def test_converse_chain_respects_dimension_cap(monkeypatch):
     monkeypatch.setenv("CQCOVERT_DIM_CAP", "4")
     ch = two_symbol_example_channel()

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import cqcovert as cq
 from cqcovert.channel import _letter_factors, _mixture_divergence, _receiver_pass
-from cqcovert.errors import WrongRegimeError
+from cqcovert.errors import DimensionCapError, WrongRegimeError
 
 import oracles
 from helpers import (
@@ -313,6 +313,46 @@ def test_pinched_statistic_monotone_in_threshold():
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-9
     assert all(-1e-9 <= v <= 1 + 1e-9 for v in values)
+
+
+def assert_pinched_statistic_matches_dense(ch, pn, codeword):
+    grid = np.linspace(-5.0, 5.0, 11)
+    dense = oracles.dense_pinched_test_statistic(ch, pn, codeword, grid, delta=0.05)
+    for a, expected in zip(grid, dense):
+        assert abs(cq.pinched_test_statistic(ch, pn, codeword, a, delta=0.05) - expected) <= 1e-12
+
+
+def test_pinched_statistic_matches_dense_oracle():
+    rng = np.random.default_rng(110)
+    for k, dz, n_max in ((2, 2, 8), (3, 3, 5)):
+        for n in range(1, n_max + 1):
+            ch = random_square_root_channel(rng, k, 2, dz)
+            pn = cq.InputDistribution(rng.dirichlet(np.ones(k)))
+            assert_pinched_statistic_matches_dense(ch, pn, rng.integers(0, k, size=n))
+
+
+@pytest.mark.parametrize("spread", [0.0, 2e-10])
+def test_pinched_statistic_on_merged_spectral_groups(spread):
+    # The average letter has eigenvalues 0.5 +- spread, closer than GROUP_TOL, so
+    # the whole n-letter spectrum is one group: I / 2 at spread 0.
+    rng = np.random.default_rng(111)
+    u = random_unitary(rng, 2)
+    mix = u @ np.diag([0.5 + spread, 0.5 - spread]) @ u.conj().T
+    rho1 = random_density(rng, 2, floor=0.2)
+    ch = cq.CQWiretapChannel([random_density(rng, 2) for _ in range(2)],
+                             [cq.DensityOperator(2.0 * mix - rho1.mat), rho1])
+    pn = cq.InputDistribution([0.5, 0.5])
+    assert np.ptp(np.linalg.eigvalsh(cq.average_output_state(ch, pn, "eavesdropper").mat)) < 1e-9
+    for n in range(1, 7):
+        assert_pinched_statistic_matches_dense(ch, pn, rng.integers(0, 2, size=n))
+
+
+def test_pinched_statistic_respects_dimension_cap(monkeypatch):
+    monkeypatch.delenv("CQCOVERT_DIM_CAP", raising=False)
+    ch = two_symbol_example_channel()
+    pn = cq.InputDistribution([0.9, 0.1])
+    with pytest.raises(DimensionCapError):
+        cq.pinched_test_statistic(ch, pn, [1] + [0] * 12, a=0.0, delta=0.05)
 
 
 def test_a_hat_hand_value_and_slack_monotonicity():
