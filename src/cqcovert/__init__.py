@@ -14,6 +14,7 @@ from .channel import (
 from .divergences import (
     chi_squared,
     holevo_information,
+    holevo_informations,
     relative_entropies,
     relative_entropy,
     von_neumann_entropy,

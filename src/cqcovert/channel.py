@@ -23,13 +23,9 @@ from .config import (
     TRACE_TOL,
     dim_cap,
 )
-from .divergences import _clip_nonnegative, _entropy_of_spectrum
+from .divergences import _clip_nonnegative, _entropy_of_spectrum, _log_on_support
 from .errors import DimensionCapError, UnusableChannelError
-from .operators import (
-    DensityOperator,
-    matrix_fn,
-    support_is_contained,
-)
+from .operators import DensityOperator, _support_leaks
 
 
 class InputDistribution:
@@ -196,18 +192,13 @@ def sanitize(ch: CQWiretapChannel):
     labels of discarded symbols.  Idempotent; returns the input object
     unchanged when nothing needs doing.
     """
-    rho0 = ch.rho[0]
-    w, v = np.linalg.eigh(rho0.mat)
-    isometry = v[:, w > SUPPORT_TOL]
+    wa, va = np.linalg.eigh(np.stack([r.mat for r in ch.rho]))
+    isometry = va[0][:, wa[0] > SUPPORT_TOL]
     rank = isometry.shape[1]
 
-    retained = [0]
-    removed = []
-    for x in range(1, ch.k):
-        if support_is_contained(ch.rho[x], rho0):
-            retained.append(x)
-        else:
-            removed.append(x)
+    leaks = _support_leaks(wa, va, wa[0], va[0])
+    removed = [x for x in range(1, ch.k) if leaks[x]]
+    retained = [x for x in range(ch.k) if x not in removed]
     if len(retained) == 1:
         raise UnusableChannelError(
             "every non-off symbol has eavesdropper support outside supp(rho(0)); "
@@ -216,13 +207,11 @@ def sanitize(ch: CQWiretapChannel):
     if not removed and rank == ch.eavesdropper_dim:
         return ch, []
 
-    sigma = [ch.sigma[x] for x in retained]
-    rho = []
-    for x in retained:
-        compressed = isometry.conj().T @ ch.rho[x].mat @ isometry
-        compressed = compressed / np.trace(compressed).real
-        rho.append(DensityOperator(compressed))
-    return CQWiretapChannel(sigma, rho), removed
+    # Compressions of states by an isometry are PSD by construction.
+    compressed = isometry.conj().T @ np.stack([ch.rho[x].mat for x in retained]) @ isometry
+    compressed /= np.trace(compressed, axis1=1, axis2=2).real[:, None, None]
+    rho = [DensityOperator(m, validate=False) for m in compressed]
+    return CQWiretapChannel([ch.sigma[x] for x in retained], rho), removed
 
 
 def product_output_state(ch: CQWiretapChannel, codeword, side: str) -> DensityOperator:
@@ -312,15 +301,18 @@ def _mixture_divergence(ch: CQWiretapChannel, codewords: np.ndarray,
     On supports log rho(0)^{(x) n} is a sum of one-letter terms, so the cross
     term is Sum_x mass(x) tr[rho(x) log rho(0)].  Supports of products are
     products of supports, so the result is +inf exactly when a letter used
-    with positive weight has supp rho(x) outside supp rho(0).  Commuting
-    letters give a probability vector, others a matrix for one eigvalsh."""
+    with positive weight has supp rho(x) outside supp rho(0); one stacked
+    eigh of the letters serves that test and log rho(0).  Commuting letters
+    give a probability vector, others a matrix for one eigvalsh."""
     _n_letter_dim(ch, "eavesdropper", codewords.shape[1])
     mass = _letter_mass(codewords, weights, ch.k)
     used = np.nonzero(mass)[0]
-    if not all(support_is_contained(ch.rho[x], ch.rho[0]) for x in used):
+    letters = np.stack([r.mat for r in ch.rho])
+    wa, va = np.linalg.eigh(letters)
+    if _support_leaks(wa, va, wa[0], va[0])[used].any():
         return float("inf")
-    log_rho0 = matrix_fn(ch.rho[0], np.log, on_support_only=True).mat
-    cross = sum(float(mass[x]) * float(np.einsum("ij,ji->", ch.rho[x].mat, log_rho0).real)
+    log_rho0 = _log_on_support(wa[0], va[0])
+    cross = sum(float(mass[x]) * float(np.einsum("ij,ji->", letters[x], log_rho0).real)
                 for x in used)
     mix = _codebook_mixture(_kron_factors(_letter_factors(ch.rho)), codewords, weights)
     entropy = _entropy_of_spectrum(mix if mix.ndim == 1 else np.linalg.eigvalsh(mix))

@@ -208,6 +208,8 @@ def cmd_simulate(args) -> int:
     n_list = _parse_list(args.n_list, "--n-list", int, lambda v: v >= 1, "integers >= 1")
     m_list = _parse_list(args.m_list, "--m-list", int, lambda v: v >= 1, "integers >= 1")
     seeds = _parse_list(args.seeds, "--seeds", int, lambda v: True, "integers")
+    if args.workers < 1:
+        raise _InvalidArgument(f"--workers must be an integer >= 1, got {args.workers}")
     try:
         SimParams(args.delta, 1, 1, beta=args.beta, gamma=args.gamma, theta=args.theta)
     except ValueError as exc:

@@ -27,6 +27,12 @@ def _entropy_of_spectrum(w: np.ndarray) -> float:
     return float(-(w * np.log(w)).sum())
 
 
+def _log_on_support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log a on supp(a), 0 off it, from the eigendecomposition a = V diag(w) V^H."""
+    on = w > SUPPORT_TOL
+    return (v[:, on] * np.log(w[on])) @ v[:, on].conj().T
+
+
 def von_neumann_entropy(a: DensityOperator) -> Nats:
     """-tr[a log a], in [0, log dim]."""
     w = np.linalg.eigvalsh(a.mat)
@@ -50,8 +56,7 @@ def relative_entropies(states, ref: DensityOperator) -> np.ndarray:
     wa, va = np.linalg.eigh(mats)
     wb, vb = np.linalg.eigh(ref.mat)
     leaks = _support_leaks(wa, va, wb, vb)
-    on_b = wb > SUPPORT_TOL
-    log_b = (vb[:, on_b] * np.log(wb[on_b])) @ vb[:, on_b].conj().T
+    log_b = _log_on_support(wb, vb)
     term_b = np.einsum("kij,ji->k", mats, log_b).real
     return np.array([
         float("inf") if leak
@@ -87,16 +92,24 @@ def holevo_information(states, dist) -> Nats:
     ``dist`` is an InputDistribution or a bare probability vector over the
     same index set.
     """
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
-    if len(probs) != len(states):
-        raise ValueError(f"{len(probs)} probabilities for {len(states)} states")
-    dim = states[0].dim
-    mix = np.zeros((dim, dim), dtype=np.complex128)
-    conditional = 0.0
-    for p, state in zip(probs, states):
-        if p <= 0.0:
-            continue
-        mix += p * state.mat
-        conditional += p * _entropy_of_spectrum(np.linalg.eigvalsh(state.mat))
-    mixture_entropy = _entropy_of_spectrum(np.linalg.eigvalsh(mix))
-    return _clip_nonnegative(mixture_entropy - conditional, "Holevo information")
+    return float(holevo_informations(states, [dist])[0])
+
+
+def holevo_informations(states, dists) -> np.ndarray:
+    """chi(P) for every distribution P in ``dists``, as :func:`holevo_information`.
+
+    One stacked eigvalsh of the states gives every conditional entropy, and
+    one stacked eigvalsh of the row mixtures every mixture entropy.
+    """
+    probs = np.array([getattr(p, "probs", p) for p in dists], dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != len(states):
+        raise ValueError(f"{probs.shape[-1]} probabilities for {len(states)} states")
+    mats = np.stack([s.mat for s in states])
+    entropies = [_entropy_of_spectrum(w) for w in np.linalg.eigvalsh(mats)]
+    # Summed in symbol order, so no row's rounding depends on the other rows.
+    mixes = sum(p[:, None, None] * m for p, m in zip(probs.T, mats))
+    conditional = sum(p * h for p, h in zip(probs.T, entropies))
+    return np.array([
+        _clip_nonnegative(_entropy_of_spectrum(w) - c, "Holevo information")
+        for w, c in zip(np.linalg.eigvalsh(mixes), conditional)
+    ])

@@ -152,14 +152,6 @@ def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
     return out
 
 
-def support_is_contained(a: HermitianOperator, b: HermitianOperator,
-                         tol: float = SUPPORT_INCLUSION_TOL) -> bool:
-    """Whether supp(a) lies inside supp(b), up to eigenvector noise."""
-    wa, va = np.linalg.eigh(a.mat)
-    wb, vb = np.linalg.eigh(b.mat)
-    return not _support_leaks(wa[None], va[None], wb, vb, tol)[0]
-
-
 def _support_leaks(wa, va, wb, vb, tol: float = SUPPORT_INCLUSION_TOL) -> np.ndarray:
     """Per stacked eigendecomposition ``(wa[i], va[i])``, whether its support
     leaves the support of the one given by ``(wb, vb)``.

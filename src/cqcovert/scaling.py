@@ -45,10 +45,8 @@ from .divergences import (
     _clip_nonnegative,
     _entropy_of_spectrum,
     chi_squared,
-    holevo_information,
+    holevo_informations,
     relative_entropies,
-    relative_entropy,
-    von_neumann_entropy,
 )
 from .errors import DimensionCapError, WrongRegimeError
 from .operators import DensityOperator, _support_leaks, dlog_kernel
@@ -452,14 +450,11 @@ def chi_sq_expansion_check(rho_zero: DensityOperator, rho_tilde: DensityOperator
     chi2 = chi_squared(rho_tilde, rho_zero)
     if chi2 <= 1e-12:
         return ChiSquaredExpansionReport(alphas, (), chi2, True)
-    ratios = []
-    for a in alphas:
-        mixed = DensityOperator(
-            (1.0 - a) * rho_zero.mat + a * rho_tilde.mat, validate=False
-        )
-        div = relative_entropy(mixed, rho_zero)
-        ratios.append(div / (0.5 * a * a * chi2))
-    return ChiSquaredExpansionReport(alphas, tuple(ratios), chi2, False)
+    divs = relative_entropies(
+        [DensityOperator((1.0 - a) * rho_zero.mat + a * rho_tilde.mat, validate=False)
+         for a in alphas], rho_zero)
+    ratios = tuple(float(div / (0.5 * a * a * chi2)) for a, div in zip(alphas, divs))
+    return ChiSquaredExpansionReport(alphas, ratios, chi2, False)
 
 
 @dataclass(frozen=True)
@@ -488,12 +483,10 @@ def holevo_expansion_check(ch: CQWiretapChannel, p_tilde: InputDistribution,
     used = np.flatnonzero(p_tilde.probs > 0.0)
     limit = float(p_tilde.probs[used]
                   @ relative_entropies([ch.sigma[x] for x in used], ch.sigma[0]))
-    slopes = []
-    for a in alphas:
-        probs = a * p_tilde.probs.copy()
-        probs[0] = 1.0 - a
-        slopes.append(holevo_information(ch.sigma, probs) / a)
-    return HolevoExpansionReport(alphas, tuple(slopes), limit)
+    probs = np.outer(alphas, p_tilde.probs)
+    probs[:, 0] = 1.0 - np.array(alphas)
+    slopes = tuple(float(chi / a) for a, chi in zip(alphas, holevo_informations(ch.sigma, probs)))
+    return HolevoExpansionReport(alphas, slopes, limit)
 
 
 @dataclass(frozen=True)
@@ -552,38 +545,26 @@ def _chain_from_joint_terms(ch, codewords, weights, receiver_entropy: float,
     """Both chains around their two n-letter terms, computed by the caller:
     the receiver mixture's entropy and the eavesdropper mixture's divergence."""
     n = codewords.shape[1]
-    sigma_entropy = np.array([von_neumann_entropy(s) for s in ch.sigma])
-    marginals = [
-        np.bincount(codewords[:, i], weights=weights, minlength=ch.k)
-        for i in range(n)
-    ]
-    p_bar = np.mean(marginals, axis=0)
-
+    sigma_entropy = np.array([_entropy_of_spectrum(w) for w in
+                              np.linalg.eigvalsh(np.stack([s.mat for s in ch.sigma]))])
     conditional = float(_letter_mass(codewords, weights, ch.k) @ sigma_entropy)
     holevo_joint = _clip_nonnegative(receiver_entropy - conditional, "joint Holevo information")
-    # Holevo information of the n marginals and of p_bar: one stacked eigvalsh of their mixtures.
-    dists = np.array(marginals + [p_bar])
-    mixes = np.tensordot(dists, np.stack([s.mat for s in ch.sigma]), axes=1)
-    holevo = [_clip_nonnegative(_entropy_of_spectrum(w) - c, "Holevo information")
-              for w, c in zip(np.linalg.eigvalsh(mixes), dists @ sigma_entropy)]
-    holevo_marginal_sum = float(sum(holevo[:-1]))
-    holevo_avg_scaled = n * holevo[-1]
 
-    div_marginal_sum = float(relative_entropies(
-        [average_output_state(ch, p, "eavesdropper") for p in marginals], ch.rho[0]
-    ).sum())
-    div_avg_scaled = n * relative_entropy(
-        average_output_state(ch, p_bar, "eavesdropper"), ch.rho[0]
-    )
+    # The n marginals and their mean p_bar, each link from one stacked call.
+    marginals = [np.bincount(codewords[:, i], weights=weights, minlength=ch.k) for i in range(n)]
+    dists = marginals + [np.mean(marginals, axis=0)]
+    holevo = holevo_informations(ch.sigma, dists)
+    div = relative_entropies([average_output_state(ch, p, "eavesdropper") for p in dists],
+                             ch.rho[0])
 
     report = ConverseChainReport(
         n=n,
         holevo_joint=holevo_joint,
-        holevo_marginal_sum=holevo_marginal_sum,
-        holevo_avg_scaled=holevo_avg_scaled,
+        holevo_marginal_sum=float(sum(holevo[:-1])),
+        holevo_avg_scaled=n * float(holevo[-1]),
         div_joint=div_joint,
-        div_marginal_sum=div_marginal_sum,
-        div_avg_scaled=div_avg_scaled,
+        div_marginal_sum=float(div[:-1].sum()),
+        div_avg_scaled=n * float(div[-1]),
     )
     if strict and not (report.receiver_ok and report.eavesdropper_ok):
         raise ArithmeticError(f"converse chain violated: {report}")

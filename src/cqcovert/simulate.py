@@ -33,7 +33,7 @@ from .channel import (
     _n_letter_dim,
     _receiver_pass,
 )
-from .divergences import chi_squared, relative_entropies, relative_entropy
+from .divergences import chi_squared, relative_entropies
 from .errors import DimensionCapError, WrongRegimeError
 from .operators import matrix_fn
 from .scaling import ConverseChainReport, _chain_from_joint_terms, scaling_constant
@@ -56,8 +56,9 @@ class SimParams:
     theta: float = 0.5
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("covertness budget must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(
+                f"covertness budget must be a positive finite number, got {self.delta}")
         for name in ("beta", "gamma", "theta"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -112,7 +113,7 @@ def alpha_n(ch: CQWiretapChannel, nonzero_dist: InputDistribution,
     Sized as (1 - beta) sqrt(delta / n) over the root of half the
     chi-squared divergence of the nonzero-symbol mixture from rho(0), so
     the quadratic covertness expansion meets the budget with margin beta.
-    Clamped into (0, 1].
+    Clamped into (0, 1].  An array of blocklengths gives one value per entry.
     """
     mix = average_output_state(ch, nonzero_dist, "eavesdropper")
     chi2 = chi_squared(mix, ch.rho[0])
@@ -120,8 +121,8 @@ def alpha_n(ch: CQWiretapChannel, nonzero_dist: InputDistribution,
         raise WrongRegimeError(
             "nonzero-symbol mixture equals rho(0); the channel admits a mixture"
         )
-    value = (1.0 - beta) * math.sqrt(delta / n) / math.sqrt(0.5 * chi2)
-    return min(value, 1.0)
+    value = (1.0 - beta) * np.sqrt(delta / np.asarray(n)) / math.sqrt(0.5 * chi2)
+    return np.minimum(value, 1.0)
 
 
 def build_input_distribution(alpha: float, nonzero_dist: InputDistribution) -> InputDistribution:
@@ -315,8 +316,8 @@ def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
     The nonzero-symbol distribution is the scaling-constant optimizer, so
     a channel outside the square-root regime raises WrongRegimeError before
     any cell runs.  Cells are independent; with ``workers`` > 1 they run
-    in a process pool.  Reports come back sorted by (n, M, seed) regardless
-    of completion order.
+    in a process pool of at most one worker per cell.  Reports come back
+    sorted by (n, M, seed) regardless of completion order.
     """
     nonzero = scaling_constant(ch).optimizer
     a_hat_value = a_hat(ch, nonzero, theta, gamma, beta)
@@ -326,13 +327,17 @@ def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
                   beta=beta, gamma=gamma, theta=theta)
         for n in n_list for m in m_list for seed in seeds
     ]
-    per_n = {}
-    for n in dict.fromkeys(p.n for p in cells):
-        pn = build_input_distribution(alpha_n(ch, nonzero, delta, n, beta), nonzero)
-        mix = average_output_state(ch, pn, "eavesdropper")
-        per_n[n] = (pn, n * relative_entropy(mix, ch.rho[0]))
+    if not cells:
+        return []
+    ns = list(dict.fromkeys(p.n for p in cells))
+    pns = [build_input_distribution(float(a), nonzero)
+           for a in alpha_n(ch, nonzero, delta, np.array(ns), beta)]
+    divs = relative_entropies([average_output_state(ch, pn, "eavesdropper") for pn in pns],
+                              ch.rho[0])
+    per_n = {n: (pn, n * float(div)) for n, pn, div in zip(ns, pns, divs)}
     args = ([ch] * len(cells), [per_n[p.n][0] for p in cells], [per_n[p.n][1] for p in cells],
             cells, [eps_target] * len(cells), [a_hat_value] * len(cells))
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_cell, *args))

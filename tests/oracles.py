@@ -24,6 +24,9 @@ The ray-QP reference enumerates supports, the exponential method the
 package's active-set solver replaced, and certifies each with the package's
 own KKT check.
 
+The Holevo reference takes one eigvalsh per used letter and one of the
+mixture, the per-letter loop that the package's stacked form replaced.
+
 The covert-rate reference maximizes the Holevo information with scipy's
 SLSQP, from its own entropies and gradient, instead of the package's
 Frank-Wolfe and Newton path.
@@ -70,6 +73,21 @@ def mutual_information(weights, conditionals) -> float:
     return entropy(marginal) - float(sum(
         w * entropy(c) for w, c in zip(weights, conditionals) if w > 0.0
     ))
+
+
+def holevo_information_loop(states, probs) -> float:
+    """chi(P) letter by letter, skipping letters of zero weight, with the
+    package's 1e-12 spectral cutoff."""
+    def spectral_entropy(mat):
+        w = np.linalg.eigvalsh(mat)
+        return entropy(w[w > 1e-12])
+
+    mix, conditional = 0.0, 0.0
+    for p, state in zip(probs, states):
+        if p > 0.0:
+            mix = mix + p * state.mat
+            conditional += p * spectral_entropy(state.mat)
+    return max(spectral_entropy(mix) - conditional, 0.0)
 
 
 def divergence_and_gram(sigma_diags, rho_diags) -> tuple:

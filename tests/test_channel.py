@@ -77,6 +77,22 @@ def test_sanitize_removes_orthogonal_support_symbol():
     assert np.allclose(out.sigma[1].mat, sigma[2].mat)
 
 
+def test_sanitize_removes_non_adjacent_leaking_symbols():
+    rng = np.random.default_rng(2)
+    sigma = [random_density(rng, 2) for _ in range(5)]
+    inside = [np.diag([0.5, 0.5, 0.0]), np.diag([0.9, 0.1, 0.0]), np.diag([0.2, 0.8, 0.0])]
+    leaking = [np.diag([0.4, 0.3, 0.3]), random_density(rng, 3).mat]
+    rho = [cq.DensityOperator(m) for m in (inside[0], inside[1], leaking[0], inside[2], leaking[1])]
+    out, removed = cq.sanitize(cq.CQWiretapChannel(sigma, rho))
+    assert removed == [2, 4]
+    assert out.k == 3
+    assert out.eavesdropper_dim == 2
+    for x, original in enumerate((0, 1, 3)):
+        assert out.sigma[x] is sigma[original]
+        spectrum = np.sort(np.diag(rho[original].mat).real[:2])
+        assert np.allclose(np.linalg.eigvalsh(out.rho[x].mat), spectrum)
+
+
 def test_sanitize_restricts_support_dimension():
     rank1 = cq.DensityOperator(np.diag([1.0, 0.0]))
     sigma = [diag_state(0.5, 0.5), diag_state(0.8, 0.2)]

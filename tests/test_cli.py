@@ -391,12 +391,18 @@ def test_validate_rejects_non_finite_entries(tmp_path, capsys, value):
     (["simulate", "--n-list", "2", "--m-list", "0"], "--m-list must be a comma-separated list of integers >= 1, got '0'"),
     (["simulate", "--n-list", "2,3.5", "--m-list", "2"], "--n-list must be a comma-separated list of integers >= 1, got '2,3.5'"),
     (["expansion-check", "--alphas", "0.5"], "--alphas must be a comma-separated list of numbers in (0, 0.1], got '0.5'"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--delta", "nan"], "covertness budget must be a positive finite number, got nan"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--delta", "inf"], "covertness budget must be a positive finite number, got inf"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--workers", "0"], "--workers must be an integer >= 1, got 0"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--workers", "-3"], "--workers must be an integer >= 1, got -3"),
 ])
 def test_invalid_arguments_are_json_errors(tmp_path, capsys, flags, detail):
     path = write_channel(tmp_path, two_symbol_example_channel())
-    argv = [flags[0], path, *flags[1:]]
+    argv = [flags[0], path]
     if flags[0] == "simulate":
+        # Before the case's own flags, so that a case's --delta overrides this one.
         argv += ["--delta", "0.05", "--seeds", "0", "--csv-out", str(tmp_path / "sweep.csv")]
+    argv += flags[1:]
     code, payload = run(capsys, argv)
     assert code == 8
     assert payload["error"] == "invalid-argument"

@@ -141,6 +141,35 @@ def test_holevo_zero_plus_ensemble():
     assert value == pytest.approx(0.41649, abs=1e-4)
 
 
+def test_holevo_informations_match_per_letter_loop():
+    rng = np.random.default_rng(11)
+    for k, dim in ((2, 2), (3, 3), (5, 2)):
+        states = [random_density(rng, dim) for _ in range(k)] + [random_pure(rng, dim)]
+        dists = rng.dirichlet(np.ones(k + 1), size=6)
+        dists[1:4, 0] = 0.0  # zero-weight letters, off symbol included
+        dists[2, -1] = 0.0
+        dists = dists / dists.sum(axis=1, keepdims=True)
+        dists = np.vstack([dists, np.eye(k + 1)[[0, k]]])
+        batched = cq.holevo_informations(states, dists)
+        for p, value in zip(dists, batched):
+            assert value == pytest.approx(oracles.holevo_information_loop(states, p), abs=1e-12)
+            assert cq.holevo_information(states, p) == value
+
+
+def test_holevo_informations_match_classical_mutual_information():
+    rng = np.random.default_rng(12)
+    conds = rng.dirichlet(np.ones(3), size=4)
+    conds[3] = [1.0, 0.0, 0.0]
+    states = [cq.DensityOperator(np.diag(c)) for c in conds]
+    dists = rng.dirichlet(np.ones(4), size=5)
+    dists[0, 1] = dists[3, 3] = 0.0
+    dists = dists / dists.sum(axis=1, keepdims=True)
+    for p, value in zip(dists, cq.holevo_informations(states, dists)):
+        assert value == pytest.approx(oracles.mutual_information(p, conds), abs=1e-12)
+    with pytest.raises(ValueError):
+        cq.holevo_informations(states, dists[:, :3])
+
+
 def test_nonnegativity_and_zero_iff_equal():
     rng = np.random.default_rng(6)
     for _ in range(30):

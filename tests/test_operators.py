@@ -6,7 +6,7 @@ from scipy.linalg import logm
 
 import cqcovert as cq
 from cqcovert.errors import DimensionCapError
-from cqcovert.operators import dlog_kernel, support_is_contained
+from cqcovert.operators import _support_leaks, dlog_kernel
 
 import oracles
 from helpers import random_density, random_hermitian, random_pure, random_unitary
@@ -203,10 +203,17 @@ def test_support_projector():
 def test_support_containment():
     rng = np.random.default_rng(8)
     small = random_density(rng, 3, rank=1)
-    big = cq.DensityOperator(0.5 * small.mat + 0.5 * random_density(rng, 3, rank=2).mat)
-    assert support_is_contained(small, big)
+    pair = cq.DensityOperator(0.5 * small.mat + 0.5 * random_density(rng, 3, rank=1).mat)
     other = random_pure(rng, 3)
-    assert not support_is_contained(other, small)
+
+    def leaks(states, ref):
+        stacked = np.linalg.eigh(np.stack([s.mat for s in states]))
+        return _support_leaks(*stacked, *np.linalg.eigh(ref.mat)).tolist()
+
+    assert leaks([small, pair, other], pair) == [False, False, True]
+    assert leaks([other, small, pair], small) == [True, False, True]
+    full = random_density(rng, 3)
+    assert leaks([small, other, full], full) == [False, False, False]
 
 
 def test_positive_part_projector():

@@ -436,6 +436,51 @@ def test_sweep_cell_makes_one_full_eigensolve_with_commuting_eavesdropper(monkey
         assert dims.count(2 ** n) == expected
 
 
+def test_sweep_cell_eigensolves_do_not_grow_with_the_alphabet(monkeypatch):
+    # Every single-letter term of a cell is one stacked call over the alphabet.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    per_cell = {}
+    for k in (2, 3, 5):
+        ch = random_square_root_channel(np.random.default_rng(3), k, 2, 2)
+        counts = []
+        for seeds in ([0], [0, 1, 2]):
+            calls.clear()
+            cq.sqrt_law_sweep(ch, 0.05, [4], [4], 0.1, seeds)
+            counts.append(len(calls))
+        per_cell[k] = (counts[1] - counts[0]) / 2
+    assert len(set(per_cell.values())) == 1, per_cell
+
+
+def test_sweep_pool_starts_at_most_one_worker_per_cell(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("cqcovert.simulate.ProcessPoolExecutor", InlinePool)
+    ch = two_symbol_example_channel()
+    serial = cq.sqrt_law_sweep(ch, 0.05, [2, 3], [2], 0.1, [0, 1, 2])
+    assert cq.sqrt_law_sweep(ch, 0.05, [2, 3], [2], 0.1, [0, 1, 2], workers=100_000) == serial
+    assert started == [6]
+    cq.sqrt_law_sweep(ch, 0.05, [2], [2], 0.1, [0], workers=100_000)
+    assert started == [6]
+
+
 def test_sweep_parallel_matches_serial():
     rng = np.random.default_rng(45)
     noncommuting = random_square_root_channel(rng, 3, 2, 2)
@@ -454,8 +499,9 @@ def test_sweep_rejects_wrong_regime():
 
 
 def test_sim_params_validation():
-    with pytest.raises(ValueError):
-        cq.SimParams(delta=-1.0, n=2, num_messages=2)
+    for delta in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive finite number"):
+            cq.SimParams(delta=delta, n=2, num_messages=2)
     with pytest.raises(ValueError):
         cq.SimParams(delta=0.1, n=2, num_messages=2, beta=1.0)
     with pytest.raises(ValueError):
