@@ -260,10 +260,27 @@ def _kron_factors(letters):
         # Iterative, so no reference cycle keeps the memo alive after the call.
         for end in range(1, len(word) + 1):
             if word[:end] not in memo:
-                memo[word[:end]] = np.kron(memo[word[:end - 1]], letters[word[end - 1]])
+                memo[word[:end]] = _kron(memo[word[:end - 1]], letters[word[end - 1]])
         return memo[word]
 
     return factor
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two vectors or two matrices: the same entrywise
+    products, by broadcasting, without its general shape handling."""
+    if a.ndim == 1:
+        return np.multiply.outer(a, b).ravel()
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _letter_stack(states) -> np.ndarray:
+    """The matrices of ``states``, stacked: float64 when no entry has a nonzero
+    imaginary part, so every product and eigensolve built on them is real,
+    else complex128."""
+    mats = np.stack([s.mat for s in states])
+    return mats if mats.imag.any() else mats.real.copy()
 
 
 def _codebook_mixture(factor, codewords: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -279,19 +296,20 @@ def _codebook_mixture(factor, codewords: np.ndarray, weights: np.ndarray) -> np.
             tails.setdefault(tuple(word[:h]), []).append((w, tuple(word[h:])))
     mix = 0.0
     for head, group in tails.items():
-        mix += np.kron(factor(head), sum(w * factor(tail) for w, tail in group))
+        mix += _kron(factor(head), sum(w * factor(tail) for w, tail in group))
     return mix
 
 
-def _letter_factors(states) -> list:
-    """Per-letter Kronecker factors: the diagonals of ``states`` in the eigenbasis
-    of Sum_x state(x) / sqrt(x + 2), a generic combination, or their matrices
-    when some state is off-diagonal there by more than COMMUTE_TOL."""
+def _letter_factors(states) -> np.ndarray:
+    """Per-letter Kronecker factors, stacked: the diagonals of ``states`` in the
+    eigenbasis of Sum_x state(x) / sqrt(x + 2), a generic combination, or
+    their matrices (``_letter_stack``) when some state is off-diagonal there
+    by more than COMMUTE_TOL."""
     _, u = np.linalg.eigh(sum(s.mat / np.sqrt(x + 2.0) for x, s in enumerate(states)))
     rotated = [u.conj().T @ s.mat @ u for s in states]
     if max(np.abs(r - np.diag(np.diag(r))).max() for r in rotated) > COMMUTE_TOL:
-        return [s.mat for s in states]
-    return [np.diag(r).real.copy() for r in rotated]
+        return _letter_stack(states)
+    return np.stack([np.diag(r).real for r in rotated])
 
 
 def _mixture_divergence(ch: CQWiretapChannel, codewords: np.ndarray,
@@ -327,7 +345,7 @@ def _receiver_pass(ch: CQWiretapChannel, codewords: np.ndarray,
     its head and tail factors (``_factored_success``); equal codewords have
     equal terms, so each is evaluated once with weight Sum w_m^2."""
     _n_letter_dim(ch, "receiver", codewords.shape[1])
-    factor = _kron_factors([s.mat for s in ch.sigma])
+    factor = _kron_factors(_letter_stack(ch.sigma))
     mix = _codebook_mixture(factor, codewords, weights)
     if not decode:
         return _entropy_of_spectrum(np.linalg.eigvalsh(mix)), None

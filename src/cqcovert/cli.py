@@ -41,7 +41,7 @@ from .scaling import (
     scaling_constant,
     scaling_constant_grid_oracle,
 )
-from .simulate import SimParams, sqrt_law_sweep
+from .simulate import SimParams, _check_eps_target, sqrt_law_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,8 +68,20 @@ def _envelope(body: dict, units: str = "nats") -> dict:
             "tolerances": tolerances(), **body}
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by None, so that the
+    report is strict JSON (no NaN or Infinity tokens)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _read_channel(path: str) -> dict:
@@ -212,6 +224,7 @@ def cmd_simulate(args) -> int:
         raise _InvalidArgument(f"--workers must be an integer >= 1, got {args.workers}")
     try:
         SimParams(args.delta, 1, 1, beta=args.beta, gamma=args.gamma, theta=args.theta)
+        _check_eps_target(args.eps_target)
     except ValueError as exc:
         raise _InvalidArgument(str(exc)) from None
     # Checked before the sweep, so that its results are not lost at the end.

@@ -308,24 +308,40 @@ def _run_cell(ch, pn: InputDistribution, covert_avg: float, params: SimParams,
         )
 
 
+def _check_eps_target(eps_target: float):
+    if not (math.isfinite(eps_target) and 0.0 <= eps_target <= 1.0):
+        raise ValueError(f"decoding-error target must be a finite number in [0, 1], "
+                         f"got {eps_target}")
+
+
+def _run_cells(ch, eps_target: float, a_hat_value: float, jobs) -> list:
+    """``_run_cell`` over ``(pn, covert_avg, params)`` jobs: one pool task."""
+    return [_run_cell(ch, pn, covert_avg, params, eps_target, a_hat_value)
+            for pn, covert_avg, params in jobs]
+
+
 def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
                    eps_target: float, seeds, beta: float = 0.5,
                    gamma: float = 0.5, theta: float = 0.5, workers: int = 1) -> list:
-    """Simulate every (n, M, seed) cell and report the full table.
+    """Simulate every (n, M, seed) cell and report the full table, sorted by
+    (n, M, seed).
 
-    The nonzero-symbol distribution is the scaling-constant optimizer, so
-    a channel outside the square-root regime raises WrongRegimeError before
-    any cell runs.  Cells are independent; with ``workers`` > 1 they run
-    in a process pool of at most one worker per cell.  Reports come back
-    sorted by (n, M, seed) regardless of completion order.
+    ``eps_target`` must be a finite number in [0, 1].  The nonzero-symbol
+    distribution is the scaling-constant optimizer, so a channel outside the
+    square-root regime raises WrongRegimeError before any cell runs.  Cells
+    are independent; with ``workers`` > 1 they run in a process pool of at
+    most one worker per cell, each worker taking one strided slice of the
+    sorted cells as a single task.
     """
+    _check_eps_target(eps_target)
     nonzero = scaling_constant(ch).optimizer
     a_hat_value = a_hat(ch, nonzero, theta, gamma, beta)
 
     cells = [
-        SimParams(delta=delta, n=int(n), num_messages=int(m), seed=int(seed),
+        SimParams(delta=delta, n=n, num_messages=m, seed=seed,
                   beta=beta, gamma=gamma, theta=theta)
-        for n in n_list for m in m_list for seed in seeds
+        for n in sorted(map(int, n_list)) for m in sorted(map(int, m_list))
+        for seed in sorted(map(int, seeds))
     ]
     if not cells:
         return []
@@ -335,13 +351,15 @@ def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
     divs = relative_entropies([average_output_state(ch, pn, "eavesdropper") for pn in pns],
                               ch.rho[0])
     per_n = {n: (pn, n * float(div)) for n, pn, div in zip(ns, pns, divs)}
-    args = ([ch] * len(cells), [per_n[p.n][0] for p in cells], [per_n[p.n][1] for p in cells],
-            cells, [eps_target] * len(cells), [a_hat_value] * len(cells))
-    workers = min(workers, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_cell, *args))
-    else:
-        reports = list(map(_run_cell, *args))
-    reports.sort(key=lambda r: (r.n, r.num_messages, r.seed))
+    jobs = [(*per_n[p.n], p) for p in cells]
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return _run_cells(ch, eps_target, a_hat_value, jobs)
+    # Neighbouring cells cost about the same, so strided slices stay balanced.
+    reports = [None] * len(jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(_run_cells, [ch] * workers, [eps_target] * workers,
+                         [a_hat_value] * workers, [jobs[i::workers] for i in range(workers)])
+        for i, part in enumerate(parts):
+            reports[i::workers] = part
     return reports

@@ -11,11 +11,13 @@ from cqcovert.channel_io import SCHEMA_VERSION
 from cqcovert.regime import Regime, classify
 
 
-def random_density(rng, dim, rank=None, floor=0.0):
-    """Random state from a Ginibre draw; ``floor`` mixes in identity to keep
-    the spectrum away from zero."""
+def random_density(rng, dim, rank=None, floor=0.0, real=False):
+    """Random state from a Ginibre draw, complex or with ``real`` entries;
+    ``floor`` mixes in identity to keep the spectrum away from zero."""
     rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    g = rng.normal(size=(dim, rank))
+    if not real:
+        g = g + 1j * rng.normal(size=(dim, rank))
     mat = g @ g.conj().T
     mat = mat / np.trace(mat).real
     if floor > 0.0:
@@ -40,10 +42,10 @@ def random_hermitian(rng, dim, scale=1.0):
     return cq.HermitianOperator((g + g.conj().T) / 2.0)
 
 
-def random_channel(rng, k, dy, dz, floor=0.2):
+def random_channel(rng, k, dy, dz, floor=0.2, real=False):
     """Generic full-rank channel; almost surely square-root for k <= dz**2."""
-    sigma = [random_density(rng, dy, floor=floor) for _ in range(k)]
-    rho = [random_density(rng, dz, floor=floor) for _ in range(k)]
+    sigma = [random_density(rng, dy, floor=floor, real=real) for _ in range(k)]
+    rho = [random_density(rng, dz, floor=floor, real=real) for _ in range(k)]
     return cq.CQWiretapChannel(sigma, rho)
 
 
@@ -110,6 +112,18 @@ def permuted_channel(ch, perm):
 
 def diag_state(*entries):
     return cq.DensityOperator(np.diag(entries).astype(complex))
+
+
+def fixed_simulation_channel():
+    """k = 2 qubit channel with real letters, used by the simulator criterion:
+    strongly distinguishable receiver states, weakly distinguishable
+    eavesdropper states (so realization noise stays well under the
+    covertness budget)."""
+    sigma = [diag_state(0.9, 0.1),
+             cq.DensityOperator(np.array([[0.5, 0.4], [0.4, 0.5]]))]
+    rho = [diag_state(0.5, 0.5),
+           cq.DensityOperator(np.array([[0.55, 0.05], [0.05, 0.45]]))]
+    return cq.CQWiretapChannel(sigma, rho)
 
 
 def mixture_example_channel():

@@ -16,7 +16,7 @@ from cqcovert.scaling import _solve_ray_qp
 import oracles
 from helpers import (
     conjugated_channel,
-    diag_state,
+    fixed_simulation_channel,
     mixture_example_channel,
     off_support_example_channel,
     permuted_channel,
@@ -32,17 +32,6 @@ def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"\n[acceptance] criterion {num:2d} ({name}): {status}{detail}")
     return ok
-
-
-def fixed_simulation_channel():
-    """k = 2 qubit channel used by the simulator criterion: strongly
-    distinguishable receiver states, weakly distinguishable eavesdropper
-    states (so realization noise stays well under the covertness budget)."""
-    sigma = [diag_state(0.9, 0.1),
-             cq.DensityOperator(np.array([[0.5, 0.4], [0.4, 0.5]]))]
-    rho = [diag_state(0.5, 0.5),
-           cq.DensityOperator(np.array([[0.55, 0.05], [0.05, 0.45]]))]
-    return cq.CQWiretapChannel(sigma, rho)
 
 
 def test_criterion_01_divergence_axioms():

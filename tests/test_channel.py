@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cqcovert as cq
+from cqcovert.channel import _kron
 from cqcovert.errors import UnusableChannelError
 from cqcovert.regime import _require_sanitized
 
@@ -149,6 +150,22 @@ def test_product_output_state():
     assert cq.product_output_state(ch, [0, 1, 1], "receiver").trace() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         cq.product_output_state(ch, [0, 2], "receiver")
+
+
+def test_kron_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(49)
+
+    def draw(shape, dtype):
+        real = rng.normal(size=shape)
+        return real if dtype is float else real + 1j * rng.normal(size=shape)
+
+    for shape_a, shape_b in (((3,), (4,)), ((1,), (5,)), ((2, 3), (4, 5)), ((1, 1), (3, 3))):
+        for dtype_a in (float, complex):
+            for dtype_b in (float, complex):
+                a, b = draw(shape_a, dtype_a), draw(shape_b, dtype_b)
+                out = _kron(a, b)
+                assert out.dtype == np.kron(a, b).dtype
+                assert np.array_equal(out, np.kron(a, b))
 
 
 def test_product_marginals_recover_symbols():

@@ -36,10 +36,14 @@ def write_raw(tmp_path, payload, name="raw.json"):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"report is not strict JSON: {token}")
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -367,6 +371,12 @@ def test_simulate_csv_fields_parse(tmp_path, capsys, monkeypatch):
         assert (row["skipped"] != "") == (report["n"] == 4)
         if report["skipped"] is None:
             assert float(row["covert_div"]) == report["covert_div"]
+        else:
+            # Not computed: NaN in the CSV, null in the strict-JSON report.
+            assert math.isnan(float(row["covert_div"]))
+            for key in ("K_n", "epsilon_n", "covert_div", "covert_div_avg",
+                        "normalized_throughput", "converse_bound"):
+                assert report[key] is None
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -395,6 +405,10 @@ def test_validate_rejects_non_finite_entries(tmp_path, capsys, value):
     (["simulate", "--n-list", "2", "--m-list", "2", "--delta", "inf"], "covertness budget must be a positive finite number, got inf"),
     (["simulate", "--n-list", "2", "--m-list", "2", "--workers", "0"], "--workers must be an integer >= 1, got 0"),
     (["simulate", "--n-list", "2", "--m-list", "2", "--workers", "-3"], "--workers must be an integer >= 1, got -3"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--eps-target", "nan"], "decoding-error target must be a finite number in [0, 1], got nan"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--eps-target", "inf"], "decoding-error target must be a finite number in [0, 1], got inf"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--eps-target", "-1"], "decoding-error target must be a finite number in [0, 1], got -1.0"),
+    (["simulate", "--n-list", "2", "--m-list", "2", "--eps-target", "2"], "decoding-error target must be a finite number in [0, 1], got 2.0"),
 ])
 def test_invalid_arguments_are_json_errors(tmp_path, capsys, flags, detail):
     path = write_channel(tmp_path, two_symbol_example_channel())

@@ -5,13 +5,14 @@ import pytest
 import scipy.linalg
 
 import cqcovert as cq
-from cqcovert.channel import _letter_factors, _mixture_divergence, _receiver_pass
+from cqcovert.channel import _letter_factors, _letter_stack, _mixture_divergence, _receiver_pass
 from cqcovert.errors import DimensionCapError, WrongRegimeError
 
 import oracles
 from helpers import (
     diag_state,
     diagonal_eavesdropper_channel,
+    fixed_simulation_channel,
     random_channel,
     random_density,
     random_square_root_channel,
@@ -116,12 +117,16 @@ def test_covertness_divergence_against_logm_path():
 
 def test_n_letter_passes_match_dense_references():
     # Ginibre letters: the eavesdropper states do not commute with rho(0).
-    # Codebooks include n = 1, M = 1, a repeated codeword and, besides the
-    # uniform weights, Dirichlet weights with one zero.
+    # Real Ginibre letters take the float64 path on both sides.  Codebooks
+    # include n = 1, M = 1, a repeated codeword and, besides the uniform
+    # weights, Dirichlet weights with one zero.
     rng = np.random.default_rng(41)
-    for dy, dz, n_max in ((2, 2, 9), (3, 3, 4)):
-        ch = random_channel(rng, 3, dy, dz)
-        assert _letter_factors(ch.rho)[0].ndim == 2
+    for dy, dz, n_max, real in ((2, 2, 9, False), (3, 3, 4, False), (2, 2, 7, True)):
+        ch = random_channel(rng, 3, dy, dz, real=real)
+        factors = _letter_factors(ch.rho)
+        assert factors[0].ndim == 2
+        dtype = np.float64 if real else np.complex128
+        assert factors.dtype == dtype and _letter_stack(ch.sigma).dtype == dtype
         for n in range(1, n_max + 1):
             for m in (1, 2, 4, 8):
                 codewords = rng.integers(0, 3, size=(m, n))
@@ -146,6 +151,11 @@ def test_n_letter_passes_match_dense_references():
                     cq.DensityOperator(mixture, validate=False)), abs=1e-10)
                 assert error == pytest.approx(
                     oracles.dense_pgm_error(ch, codewords, weights), abs=1e-10)
+    # One imaginary entry, however small, keeps the real channel's letters complex.
+    tiny = np.array([[0.0, 1e-17j], [-1e-17j, 0.0]])
+    for states in (ch.sigma, ch.rho):
+        nudged = [cq.DensityOperator(s.mat + tiny) for s in states]
+        assert _letter_stack(nudged).dtype == _letter_factors(nudged).dtype == np.complex128
 
 
 def _eavesdropper_cases(rng):
@@ -457,7 +467,8 @@ def test_sweep_cell_eigensolves_do_not_grow_with_the_alphabet(monkeypatch):
 
 
 def test_sweep_pool_starts_at_most_one_worker_per_cell(monkeypatch):
-    started = []
+    # Each worker gets one task: a strided slice of the cells.
+    started, tasks = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -470,15 +481,19 @@ def test_sweep_pool_starts_at_most_one_worker_per_cell(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            items = list(zip(*iterables))
+            tasks.append(len(items))
+            return [fn(*item) for item in items]
 
     monkeypatch.setattr("cqcovert.simulate.ProcessPoolExecutor", InlinePool)
     ch = two_symbol_example_channel()
     serial = cq.sqrt_law_sweep(ch, 0.05, [2, 3], [2], 0.1, [0, 1, 2])
     assert cq.sqrt_law_sweep(ch, 0.05, [2, 3], [2], 0.1, [0, 1, 2], workers=100_000) == serial
-    assert started == [6]
+    assert cq.sqrt_law_sweep(ch, 0.05, [2, 3], [2], 0.1, [0, 1, 2], workers=2) == serial
+    assert started == [6, 2]
+    assert tasks == started
     cq.sqrt_law_sweep(ch, 0.05, [2], [2], 0.1, [0], workers=100_000)
-    assert started == [6]
+    assert started == [6, 2]
 
 
 def test_sweep_parallel_matches_serial():
@@ -486,7 +501,7 @@ def test_sweep_parallel_matches_serial():
     noncommuting = random_square_root_channel(rng, 3, 2, 2)
     commuting = diagonal_eavesdropper_channel(rng)
     for ch, n_list in ((two_symbol_example_channel(), [2]), (noncommuting, [2, 6]),
-                       (commuting, [2, 6])):
+                       (commuting, [2, 6]), (fixed_simulation_channel(), [2, 6])):
         serial = cq.sqrt_law_sweep(ch, 0.05, n_list, [1, 4], 0.5, [0, 1], workers=1)
         parallel = cq.sqrt_law_sweep(ch, 0.05, n_list, [1, 4], 0.5, [0, 1], workers=2)
         assert serial == parallel
@@ -496,6 +511,15 @@ def test_sweep_rejects_wrong_regime():
     from helpers import mixture_example_channel
     with pytest.raises(WrongRegimeError):
         cq.sqrt_law_sweep(mixture_example_channel(), 0.05, [2], [2], 0.5, [0])
+
+
+def test_sweep_rejects_eps_target_outside_unit_interval():
+    ch = two_symbol_example_channel()
+    for eps_target in (float("nan"), float("inf"), -1.0, 2.0):
+        with pytest.raises(ValueError, match="finite number in"):
+            cq.sqrt_law_sweep(ch, 0.05, [2], [2], eps_target, [0])
+    for eps_target in (0.0, 1.0):
+        assert len(cq.sqrt_law_sweep(ch, 0.05, [2], [2], eps_target, [0])) == 1
 
 
 def test_sim_params_validation():
