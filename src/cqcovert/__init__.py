@@ -29,7 +29,6 @@ from .errors import (
 from .operators import (
     DensityOperator,
     HermitianOperator,
-    matrix_fn,
     tensor_power,
     tensor_product,
 )

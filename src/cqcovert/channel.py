@@ -7,6 +7,8 @@ when idle.  ``validate`` diagnoses raw matrix data; ``sanitize`` discards
 symbols whose eavesdropper state sticks out of supp(rho(0)) (using them
 would be detectable regardless of coding) and compresses the eavesdropper
 space so rho(0) becomes full rank.
+A channel prepares each side once, as the ``divergences.Letters`` that every
+single-letter term and n-letter pass reads.
 """
 
 from __future__ import annotations
@@ -16,16 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (
-    COMMUTE_TOL,
     HERMITICITY_TOL,
     PSD_TOL,
     SUPPORT_TOL,
     TRACE_TOL,
     dim_cap,
 )
-from .divergences import _clip_nonnegative, _entropy_of_spectrum, _log_on_support
+from .divergences import Letters, _clip_nonnegative, _entropy_of_spectrum
 from .errors import DimensionCapError, UnusableChannelError
-from .operators import DensityOperator, _support_leaks
+from .operators import DensityOperator
 
 
 class InputDistribution:
@@ -71,7 +72,8 @@ class InputDistribution:
 
 class CQWiretapChannel:
     """Input alphabet {0, ..., k-1} with per-symbol receiver state sigma(x)
-    and eavesdropper state rho(x)."""
+    and eavesdropper state rho(x); ``receiver`` and ``eavesdropper`` are the
+    :class:`Letters` of each side."""
 
     def __init__(self, sigma, rho):
         sigma = tuple(sigma)
@@ -86,6 +88,7 @@ class CQWiretapChannel:
             raise ValueError("eavesdropper states differ in dimension")
         self.sigma = sigma
         self.rho = rho
+        self.receiver, self.eavesdropper = Letters(sigma), Letters(rho)
 
     @classmethod
     def from_matrices(cls, sigma_mats, rho_mats) -> "CQWiretapChannel":
@@ -192,12 +195,11 @@ def sanitize(ch: CQWiretapChannel):
     labels of discarded symbols.  Idempotent; returns the input object
     unchanged when nothing needs doing.
     """
-    wa, va = np.linalg.eigh(np.stack([r.mat for r in ch.rho]))
-    isometry = va[0][:, wa[0] > SUPPORT_TOL]
+    letters = ch.eavesdropper
+    isometry = letters.v[0][:, letters.w[0] > SUPPORT_TOL]
     rank = isometry.shape[1]
 
-    leaks = _support_leaks(wa, va, wa[0], va[0])
-    removed = [x for x in range(1, ch.k) if leaks[x]]
+    removed = [x for x in range(1, ch.k) if letters.leaks[x]]
     retained = [x for x in range(ch.k) if x not in removed]
     if len(retained) == 1:
         raise UnusableChannelError(
@@ -208,7 +210,7 @@ def sanitize(ch: CQWiretapChannel):
         return ch, []
 
     # Compressions of states by an isometry are PSD by construction.
-    compressed = isometry.conj().T @ np.stack([ch.rho[x].mat for x in retained]) @ isometry
+    compressed = isometry.conj().T @ letters.mats[retained] @ isometry
     compressed /= np.trace(compressed, axis1=1, axis2=2).real[:, None, None]
     rho = [DensityOperator(m, validate=False) for m in compressed]
     return CQWiretapChannel([ch.sigma[x] for x in retained], rho), removed
@@ -218,31 +220,25 @@ def product_output_state(ch: CQWiretapChannel, codeword, side: str) -> DensityOp
     """Tensor product of the per-symbol output states along a codeword, with
     one cap check; exactly Hermitian (see ``operators.tensor_product``)."""
     symbols = _check_codeword(codeword, ch.k)
-    _n_letter_dim(ch, side, len(symbols))
-    factor = _kron_factors([s.mat for s in ch.states(side)])
+    _n_letter_dim(ch, side, len(symbols))  # also rejects an unknown side
+    factor = _kron_factors(getattr(ch, side).mats)
     return DensityOperator._exact(factor(tuple(symbols.tolist())))
 
 
 def average_output_state(ch: CQWiretapChannel, dist, side: str) -> DensityOperator:
     """Single-letter output state Sum_x P(x) state(x)."""
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
-    states = ch.states(side)
-    if len(probs) != len(states):
-        raise ValueError(f"{len(probs)} probabilities for alphabet of size {len(states)}")
-    mix = np.zeros((states[0].dim, states[0].dim), dtype=np.complex128)
-    for p, state in zip(probs, states):
-        if p != 0.0:
-            mix += p * state.mat
-    return DensityOperator(mix, validate=False)
+    ch.states(side)  # rejects an unknown side
+    return DensityOperator(getattr(ch, side).mixture(dist), validate=False)
 
 
 def _n_letter_dim(ch: CQWiretapChannel, side: str, n: int) -> int:
-    """Dimension of the n-letter space on ``side``, checked against the cap."""
-    dim = ch.states(side)[0].dim ** n
+    """Dimension of the n-letter space on ``side``, checked against the cap; with
+    d >= 2 any n above the cap's bit length is over it, decided without d^n."""
+    d = ch.states(side)[0].dim
     cap = dim_cap()
-    if dim > cap:
-        raise DimensionCapError(f"{side} space of dimension {dim} exceeds the cap {cap}")
-    return dim
+    if d > 1 and n > cap.bit_length() or d ** n > cap:
+        raise DimensionCapError(f"{side} space of dimension {d}^{n} exceeds the cap {cap}")
+    return d ** n
 
 
 def _letter_mass(codewords: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -275,14 +271,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _letter_stack(states) -> np.ndarray:
-    """The matrices of ``states``, stacked: float64 when no entry has a nonzero
-    imaginary part, so every product and eigensolve built on them is real,
-    else complex128."""
-    mats = np.stack([s.mat for s in states])
-    return mats if mats.imag.any() else mats.real.copy()
-
-
 def _codebook_mixture(factor, codewords: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Sum_m w_m (x)_i letters[x_mi] over the codewords of positive weight.
 
@@ -300,18 +288,6 @@ def _codebook_mixture(factor, codewords: np.ndarray, weights: np.ndarray) -> np.
     return mix
 
 
-def _letter_factors(states) -> np.ndarray:
-    """Per-letter Kronecker factors, stacked: the diagonals of ``states`` in the
-    eigenbasis of Sum_x state(x) / sqrt(x + 2), a generic combination, or
-    their matrices (``_letter_stack``) when some state is off-diagonal there
-    by more than COMMUTE_TOL."""
-    _, u = np.linalg.eigh(sum(s.mat / np.sqrt(x + 2.0) for x, s in enumerate(states)))
-    rotated = [u.conj().T @ s.mat @ u for s in states]
-    if max(np.abs(r - np.diag(np.diag(r))).max() for r in rotated) > COMMUTE_TOL:
-        return _letter_stack(states)
-    return np.stack([np.diag(r).real for r in rotated])
-
-
 def _mixture_divergence(ch: CQWiretapChannel, codewords: np.ndarray,
                         weights: np.ndarray) -> float:
     """D(eavesdropper codebook mixture || rho(0)^{(x) n}).
@@ -319,20 +295,18 @@ def _mixture_divergence(ch: CQWiretapChannel, codewords: np.ndarray,
     On supports log rho(0)^{(x) n} is a sum of one-letter terms, so the cross
     term is Sum_x mass(x) tr[rho(x) log rho(0)].  Supports of products are
     products of supports, so the result is +inf exactly when a letter used
-    with positive weight has supp rho(x) outside supp rho(0); one stacked
-    eigh of the letters serves that test and log rho(0).  Commuting letters
-    give a probability vector, others a matrix for one eigvalsh."""
+    with positive weight has supp rho(x) outside supp rho(0): the letters'
+    ``leaks``.  Commuting letters give a probability vector, others a matrix
+    for one eigvalsh."""
     _n_letter_dim(ch, "eavesdropper", codewords.shape[1])
     mass = _letter_mass(codewords, weights, ch.k)
     used = np.nonzero(mass)[0]
-    letters = np.stack([r.mat for r in ch.rho])
-    wa, va = np.linalg.eigh(letters)
-    if _support_leaks(wa, va, wa[0], va[0])[used].any():
+    letters = ch.eavesdropper
+    if letters.leaks[used].any():
         return float("inf")
-    log_rho0 = _log_on_support(wa[0], va[0])
-    cross = sum(float(mass[x]) * float(np.einsum("ij,ji->", letters[x], log_rho0).real)
+    cross = sum(float(mass[x]) * float(np.einsum("ij,ji->", letters.mats[x], letters.log_off).real)
                 for x in used)
-    mix = _codebook_mixture(_kron_factors(_letter_factors(ch.rho)), codewords, weights)
+    mix = _codebook_mixture(_kron_factors(letters.factors), codewords, weights)
     entropy = _entropy_of_spectrum(mix if mix.ndim == 1 else np.linalg.eigvalsh(mix))
     return _clip_nonnegative(-entropy - cross, "relative entropy")
 
@@ -345,7 +319,7 @@ def _receiver_pass(ch: CQWiretapChannel, codewords: np.ndarray,
     its head and tail factors (``_factored_success``); equal codewords have
     equal terms, so each is evaluated once with weight Sum w_m^2."""
     _n_letter_dim(ch, "receiver", codewords.shape[1])
-    factor = _kron_factors(_letter_stack(ch.sigma))
+    factor = _kron_factors(ch.receiver.stack)
     mix = _codebook_mixture(factor, codewords, weights)
     if not decode:
         return _entropy_of_spectrum(np.linalg.eigvalsh(mix)), None

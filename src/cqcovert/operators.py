@@ -1,9 +1,8 @@
 """Exact dense Hermitian operator algebra on small finite-dimensional spaces.
 
 Thin validated containers around complex numpy matrices, plus the spectral
-operations everything else is built on: eigenbasis matrix functions, the
-Daleckii-Krein kernel of the logarithm, tensor products, and support
-inclusion.
+operations everything else is built on: the Daleckii-Krein kernel of the
+logarithm, tensor products, and support inclusion.
 
 All containers are immutable after construction and all functions are pure,
 so values can be shared freely across threads or worker processes.
@@ -87,31 +86,6 @@ class DensityOperator(HermitianOperator):
             mat = mat / np.trace(mat).real
             mat.setflags(write=False)
             self.mat = mat
-
-
-def matrix_fn(a: HermitianOperator, f, on_support_only: bool = False) -> HermitianOperator:
-    """Apply a scalar function to a Hermitian operator in its eigenbasis.
-
-    With ``on_support_only`` set, eigenvalues at or below SUPPORT_TOL map to
-    zero and ``f`` is applied only to the rest (the 0 log 0 = 0 convention
-    for logs and negative powers on the support).  Without it, ``f`` must be
-    finite on the whole spectrum.
-    """
-    w, v = np.linalg.eigh(a.mat)
-    if on_support_only:
-        fw = np.zeros_like(w)
-        on = w > SUPPORT_TOL
-        if np.any(on):
-            fw[on] = f(w[on])
-    else:
-        with np.errstate(all="ignore"):
-            fw = np.asarray(f(w), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise ValueError(
-            "scalar function is not finite on the spectrum; "
-            "pass on_support_only=True for logs and negative powers"
-        )
-    return HermitianOperator((v * fw) @ v.conj().T)
 
 
 def dlog_kernel(w: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from .config import (
     STATE_EQUALITY_TOL,
     SUPPORT_TOL,
 )
-from .channel import CQWiretapChannel, InputDistribution, average_output_state
-from .divergences import holevo_information, relative_entropies
+from .channel import CQWiretapChannel, InputDistribution
+from .divergences import holevo_information
 from .operators import hermitian_to_realvec
 
 
@@ -56,7 +56,7 @@ class RegimeReport:
 
 def informative_symbols(ch: CQWiretapChannel) -> list:
     """Nonzero symbols whose receiver state differs from sigma(0) in trace norm."""
-    diffs = np.stack([s.mat for s in ch.sigma[1:]]) - ch.sigma[0].mat
+    diffs = ch.receiver.mats[1:] - ch.receiver.mats[0]
     gaps = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
     return [x for x, gap in zip(range(1, ch.k), gaps) if gap > STATE_EQUALITY_TOL]
 
@@ -70,14 +70,13 @@ def _require_sanitized(rho0_spectrum: np.ndarray):
 def _mixture_constraints(ch: CQWiretapChannel):
     """``(a_eq, b_eq)`` with a_eq P = b_eq iff Sum_x P(x) rho(x) = rho(0)
     and Sum_x P(x) = 1."""
-    rows = hermitian_to_realvec(np.stack([r.mat for r in ch.rho]))
+    rows = hermitian_to_realvec(ch.eavesdropper.mats)
     return np.vstack([rows.T, np.ones((1, ch.k))]), np.concatenate([rows[0], [1.0]])
 
 
 def _mixture_residual(ch: CQWiretapChannel, probs) -> float:
     """Frobenius norm of Sum_x P(x) rho(x) - rho(0)."""
-    mix = average_output_state(ch, probs, "eavesdropper")
-    return float(np.linalg.norm(mix.mat - ch.rho[0].mat))
+    return float(np.linalg.norm(ch.eavesdropper.mixture(probs) - ch.eavesdropper.mats[0]))
 
 
 def _mixture_lp(ch: CQWiretapChannel):
@@ -139,9 +138,8 @@ def _mixture_lp(ch: CQWiretapChannel):
 
 def check_support_condition(ch: CQWiretapChannel) -> list:
     """Symbols whose receiver state has support outside supp(sigma(0))."""
-    _require_sanitized(np.linalg.eigvalsh(ch.rho[0].mat))
-    divergences = relative_entropies(ch.sigma[1:], ch.sigma[0])
-    return [x for x, d in zip(range(1, ch.k), divergences) if np.isinf(d)]
+    _require_sanitized(ch.eavesdropper.w[0])
+    return [x for x in range(1, ch.k) if np.isinf(ch.receiver.divergences[x])]
 
 
 def classify(ch: CQWiretapChannel) -> RegimeReport:

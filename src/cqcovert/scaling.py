@@ -36,17 +36,15 @@ from .config import (
 from .channel import (
     CQWiretapChannel,
     InputDistribution,
-    average_output_state,
     _letter_mass,
     _mixture_divergence,
     _receiver_pass,
 )
 from .divergences import (
+    Letters,
     _clip_nonnegative,
     _entropy_of_spectrum,
     chi_squared,
-    holevo_informations,
-    relative_entropies,
 )
 from .errors import DimensionCapError, WrongRegimeError
 from .operators import DensityOperator, _support_leaks, dlog_kernel
@@ -56,7 +54,7 @@ from .regime import (Regime, _mixture_constraints, _mixture_residual, _require_s
 
 def divergence_vector(ch: CQWiretapChannel) -> np.ndarray:
     """Receiver-side divergences d(x) = D(sigma(x) || sigma(0)) for x != 0."""
-    d = relative_entropies(ch.sigma[1:], ch.sigma[0])
+    d = ch.receiver.divergences[1:].copy()  # the result must not alias the channel
     if not np.all(np.isfinite(d)):
         raise WrongRegimeError(
             "some receiver state has support outside supp(sigma(0)); "
@@ -73,11 +71,10 @@ def chi_sq_gram(ch: CQWiretapChannel) -> np.ndarray:
     unchanged, so p^T Q p - 1 equals the chi-squared divergence of the
     p-mixture from rho(0) for any probability vector p.
     """
-    w, v = np.linalg.eigh(ch.rho[0].mat)
-    _require_sanitized(w)
-    inv = (v / w) @ v.conj().T
-    mats = np.stack([r.mat for r in ch.rho[1:]])
-    gram = np.einsum("iab,jba->ij", mats, mats @ inv).real
+    letters = ch.eavesdropper
+    _require_sanitized(letters.w[0])
+    mats = letters.mats[1:]
+    gram = np.einsum("iab,jba->ij", mats, mats @ letters.inverse).real
     return (gram + gram.T) / 2.0
 
 
@@ -251,8 +248,8 @@ def scaling_constant(ch: CQWiretapChannel) -> ScalingConstantResult:
     s_total = float(v.sum())
     p_nonzero = v / s_total
     probs = np.concatenate([[0.0], p_nonzero])
-    shifted = average_output_state(ch, probs, "eavesdropper")
-    identity_rhs = (s_total ** 2) * chi_squared(shifted, ch.rho[0])
+    rho = ch.eavesdropper
+    identity_rhs = (s_total ** 2) * rho.chi_squared_of(rho.mixture(probs))
     identity_lhs = float(v @ centered @ v)
     if abs(identity_lhs - identity_rhs) > 1e-9 * max(1.0, abs(identity_lhs)):
         raise ArithmeticError(
@@ -344,13 +341,11 @@ class RateResult:
     converged: bool
 
 
-def _holevo_derivatives(states):
+def _holevo_derivatives(letters: Letters):
     """``at(probs) -> (chi, gradient, hessian)`` of P -> chi(P) by one eigh of sigma_bar.  The
     gradient D(sigma(x) || sigma_bar) - 1, infinite for sigma(x) outside supp(sigma_bar), is
     capped there above every finite one; the Hessian is -tr[sigma(x) Dlog(sigma_bar)[sigma(y)]]."""
-    mats = np.stack([s.mat for s in states])
-    wa, va = np.linalg.eigh(mats)
-    entropies = np.array([_entropy_of_spectrum(w) for w in wa])
+    mats, wa, va, entropies = letters.mats, letters.w, letters.v, letters.entropies
 
     def at(probs):
         wb, vb = np.linalg.eigh(np.tensordot(probs, mats, axes=1))
@@ -381,7 +376,7 @@ def covert_rate(ch: CQWiretapChannel) -> RateResult:
                           feasibility_residual=0.0, iterations=0, gap=0.0, converged=True)
 
     a_eq, b_eq = _mixture_constraints(ch)
-    at = _holevo_derivatives(ch.sigma)
+    at = _holevo_derivatives(ch.receiver)
     atoms, weights = np.array(report.mixture_witness.probs)[:, None], np.ones(1)
     chi, grad, hess = at(atoms[:, 0])
     gap, iterations = float("inf"), 0
@@ -450,9 +445,8 @@ def chi_sq_expansion_check(rho_zero: DensityOperator, rho_tilde: DensityOperator
     chi2 = chi_squared(rho_tilde, rho_zero)
     if chi2 <= 1e-12:
         return ChiSquaredExpansionReport(alphas, (), chi2, True)
-    divs = relative_entropies(
-        [DensityOperator((1.0 - a) * rho_zero.mat + a * rho_tilde.mat, validate=False)
-         for a in alphas], rho_zero)
+    divs = Letters([rho_zero]).divergences_of(
+        np.stack([(1.0 - a) * rho_zero.mat + a * rho_tilde.mat for a in alphas]))
     ratios = tuple(float(div / (0.5 * a * a * chi2)) for a, div in zip(alphas, divs))
     return ChiSquaredExpansionReport(alphas, ratios, chi2, False)
 
@@ -480,12 +474,12 @@ def holevo_expansion_check(ch: CQWiretapChannel, p_tilde: InputDistribution,
         raise ValueError("mixing weights must lie in (0, 1)")
     # Only symbols with positive weight: a zero-weight sigma(x) outside
     # supp(sigma(0)) has an infinite divergence but adds nothing to the limit.
+    letters = ch.receiver
     used = np.flatnonzero(p_tilde.probs > 0.0)
-    limit = float(p_tilde.probs[used]
-                  @ relative_entropies([ch.sigma[x] for x in used], ch.sigma[0]))
+    limit = float(p_tilde.probs[used] @ letters.divergences[used])
     probs = np.outer(alphas, p_tilde.probs)
     probs[:, 0] = 1.0 - np.array(alphas)
-    slopes = tuple(float(chi / a) for a, chi in zip(alphas, holevo_informations(ch.sigma, probs)))
+    slopes = tuple(float(chi / a) for a, chi in zip(alphas, letters.holevo_informations(probs)))
     return HolevoExpansionReport(alphas, slopes, limit)
 
 
@@ -545,17 +539,15 @@ def _chain_from_joint_terms(ch, codewords, weights, receiver_entropy: float,
     """Both chains around their two n-letter terms, computed by the caller:
     the receiver mixture's entropy and the eavesdropper mixture's divergence."""
     n = codewords.shape[1]
-    sigma_entropy = np.array([_entropy_of_spectrum(w) for w in
-                              np.linalg.eigvalsh(np.stack([s.mat for s in ch.sigma]))])
-    conditional = float(_letter_mass(codewords, weights, ch.k) @ sigma_entropy)
+    sigma, rho = ch.receiver, ch.eavesdropper
+    conditional = float(_letter_mass(codewords, weights, ch.k) @ sigma.entropies)
     holevo_joint = _clip_nonnegative(receiver_entropy - conditional, "joint Holevo information")
 
     # The n marginals and their mean p_bar, each link from one stacked call.
     marginals = [np.bincount(codewords[:, i], weights=weights, minlength=ch.k) for i in range(n)]
     dists = marginals + [np.mean(marginals, axis=0)]
-    holevo = holevo_informations(ch.sigma, dists)
-    div = relative_entropies([average_output_state(ch, p, "eavesdropper") for p in dists],
-                             ch.rho[0])
+    holevo = sigma.holevo_informations(np.array(dists))
+    div = rho.divergences_of(np.stack([rho.mixture(p) for p in dists]))
 
     report = ConverseChainReport(
         n=n,

@@ -27,15 +27,13 @@ from .config import GROUP_TOL, SUPPORT_TOL
 from .channel import (
     CQWiretapChannel,
     InputDistribution,
-    average_output_state,
     _check_codeword,
     _mixture_divergence,
     _n_letter_dim,
     _receiver_pass,
 )
-from .divergences import chi_squared, relative_entropies
+from .divergences import _on_support
 from .errors import DimensionCapError, WrongRegimeError
-from .operators import matrix_fn
 from .scaling import ConverseChainReport, _chain_from_joint_terms, scaling_constant
 
 
@@ -115,8 +113,7 @@ def alpha_n(ch: CQWiretapChannel, nonzero_dist: InputDistribution,
     the quadratic covertness expansion meets the budget with margin beta.
     Clamped into (0, 1].  An array of blocklengths gives one value per entry.
     """
-    mix = average_output_state(ch, nonzero_dist, "eavesdropper")
-    chi2 = chi_squared(mix, ch.rho[0])
+    chi2 = ch.eavesdropper.chi_squared_of(ch.eavesdropper.mixture(nonzero_dist))
     if chi2 <= 1e-15:
         raise WrongRegimeError(
             "nonzero-symbol mixture equals rho(0); the channel admits a mixture"
@@ -191,17 +188,18 @@ def psi_n(ch: CQWiretapChannel, pn: InputDistribution, codeword, s: float) -> fl
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s}")
     symbols = _check_codeword(codeword, ch.k)
-    mix = average_output_state(ch, pn, "eavesdropper")
-    if float(np.linalg.eigvalsh(mix.mat)[0]) <= SUPPORT_TOL:
+    letters = ch.eavesdropper
+    wm, vm = np.linalg.eigh(letters.mixture(pn))
+    if wm[0] <= SUPPORT_TOL:
         raise ValueError("the sampling-average eavesdropper state must be full rank")
-    half_power = matrix_fn(mix, lambda w: w ** (s / 2.0)).mat
+    half_power = _on_support(wm, vm, lambda t: t ** (s / 2.0))
     n = len(symbols)
     counts = np.bincount(symbols, minlength=ch.k)
     total = 0.0
     for x in np.nonzero(counts)[0]:
-        neg_power = matrix_fn(ch.rho[x], lambda w: w ** (-s), on_support_only=True).mat
+        neg_power = _on_support(letters.w[x], letters.v[x], lambda t: t ** (-s))
         value = float(np.einsum(
-            "ij,jk,kl,li->", ch.rho[x].mat, half_power, neg_power, half_power
+            "ij,jk,kl,li->", letters.mats[x], half_power, neg_power, half_power
         ).real)
         if value <= 0.0:
             raise ArithmeticError(f"non-positive trace argument {value!r} for symbol {x}")
@@ -229,12 +227,12 @@ def pinched_test_statistic(ch: CQWiretapChannel, pn: InputDistribution,
     symbols = _check_codeword(codeword, ch.k)
     n = len(symbols)
     _n_letter_dim(ch, "eavesdropper", n)
-    spectrum, u = np.linalg.eigh(average_output_state(ch, pn, "eavesdropper").mat)
+    spectrum, u = np.linalg.eigh(ch.eavesdropper.mixture(pn))
     exponent = math.sqrt(n * delta) * a
     if exponent > 700.0:
         return 0.0
     threshold = math.exp(exponent)
-    letters = u.conj().T @ np.stack([r.mat for r in ch.rho]) @ u
+    letters = u.conj().T @ ch.eavesdropper.mats @ u
     product = reduce(np.kron, [spectrum] * n)
     order = np.argsort(-product, kind="stable")
     value = 0.0
@@ -258,11 +256,10 @@ def a_hat(ch: CQWiretapChannel, nonzero_dist: InputDistribution,
     over the root of half the chi-squared of the nonzero mixture; decreasing
     in each slack.
     """
-    mix = average_output_state(ch, nonzero_dist, "eavesdropper")
-    chi2 = chi_squared(mix, ch.rho[0])
+    chi2 = ch.eavesdropper.chi_squared_of(ch.eavesdropper.mixture(nonzero_dist))
     if chi2 <= 1e-15:
         raise WrongRegimeError("nonzero-symbol mixture equals rho(0)")
-    numerator = float(nonzero_dist.probs[1:] @ relative_entropies(ch.rho[1:], ch.rho[0]))
+    numerator = float(nonzero_dist.probs[1:] @ ch.eavesdropper.divergences[1:])
     return (1.0 - theta) * (1.0 - gamma) * (1.0 - beta) * numerator / math.sqrt(0.5 * chi2)
 
 
@@ -272,6 +269,9 @@ def _run_cell(ch, pn: InputDistribution, covert_avg: float, params: SimParams,
     n, m, seed = params.n, params.num_messages, params.seed
     nan = float("nan")
     try:
+        # Both caps, in the order the passes check them, before any sampling.
+        _n_letter_dim(ch, "eavesdropper", n)
+        _n_letter_dim(ch, "receiver", n)
         cb = sample_codebook(pn, n, m, seed)
         covert = covertness_divergence(ch, cb)
         weights = _uniform(cb)
@@ -348,8 +348,8 @@ def sqrt_law_sweep(ch: CQWiretapChannel, delta: float, n_list, m_list,
     ns = list(dict.fromkeys(p.n for p in cells))
     pns = [build_input_distribution(float(a), nonzero)
            for a in alpha_n(ch, nonzero, delta, np.array(ns), beta)]
-    divs = relative_entropies([average_output_state(ch, pn, "eavesdropper") for pn in pns],
-                              ch.rho[0])
+    rho = ch.eavesdropper
+    divs = rho.divergences_of(np.stack([rho.mixture(pn) for pn in pns]))
     per_n = {n: (pn, n * float(div)) for n, pn, div in zip(ns, pns, divs)}
     jobs = [(*per_n[p.n], p) for p in cells]
     workers = min(workers, len(jobs))

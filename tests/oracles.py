@@ -30,6 +30,10 @@ mixture, the per-letter loop that the package's stacked form replaced.
 The covert-rate reference maximizes the Holevo information with scipy's
 SLSQP, from its own entropies and gradient, instead of the package's
 Frank-Wolfe and Newton path.
+
+``matrix_fn`` applies a scalar function in the eigenbasis of one operator,
+the per-call matrix function the package replaced by spectra it already
+holds.
 """
 
 import math
@@ -41,6 +45,7 @@ from scipy.linalg import logm
 from scipy.optimize import minimize
 
 import cqcovert as cq
+from cqcovert.config import SUPPORT_TOL
 from cqcovert.scaling import _kkt_candidate
 
 
@@ -325,3 +330,28 @@ def relative_entropy_logm(a, b) -> float:
     log_a = logm(a.mat + eye - support_projector(a).mat)
     log_b = logm(b.mat + off_b)
     return float(np.trace(a.mat @ (log_a - log_b)).real)
+
+
+def matrix_fn(a, f, on_support_only: bool = False):
+    """Apply a scalar function to a Hermitian operator in its eigenbasis.
+
+    With ``on_support_only`` set, eigenvalues at or below SUPPORT_TOL map to
+    zero and ``f`` is applied only to the rest (the 0 log 0 = 0 convention
+    for logs and negative powers on the support).  Without it, ``f`` must be
+    finite on the whole spectrum.
+    """
+    w, v = np.linalg.eigh(a.mat)
+    if on_support_only:
+        fw = np.zeros_like(w)
+        on = w > SUPPORT_TOL
+        if np.any(on):
+            fw[on] = f(w[on])
+    else:
+        with np.errstate(all="ignore"):
+            fw = np.asarray(f(w), dtype=float)
+    if not np.all(np.isfinite(fw)):
+        raise ValueError(
+            "scalar function is not finite on the spectrum; "
+            "pass on_support_only=True for logs and negative powers"
+        )
+    return cq.HermitianOperator((v * fw) @ v.conj().T)

@@ -349,26 +349,26 @@ def test_simulate_command(tmp_path, capsys):
 
 
 def test_simulate_csv_fields_parse(tmp_path, capsys, monkeypatch):
-    # a cap of 8 skips the n = 4 cells, whose values are NaN
+    # a cap of 8 skips the n = 4 and n = 20000 cells, whose values are NaN
     monkeypatch.setenv("CQCOVERT_DIM_CAP", "8")
     rng = np.random.default_rng(48)
     ch = cq.CQWiretapChannel([random_density(rng, 2, floor=0.2) for _ in range(2)],
                              two_symbol_example_channel().rho)
     path = write_channel(tmp_path, ch)
     csv_path = tmp_path / "sweep.csv"
-    code, payload = run(capsys, ["simulate", path, "--delta", "0.05", "--n-list", "2,4",
+    code, payload = run(capsys, ["simulate", path, "--delta", "0.05", "--n-list", "2,4,20000",
                                  "--m-list", "1,3", "--seeds", "0", "--csv-out", str(csv_path)])
     assert code == 0
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(payload["reports"]) == 4
+    assert len(rows) == len(payload["reports"]) == 6
     for row, report in zip(rows, payload["reports"]):
         for key in ("n", "M", "seed", "K_n", "epsilon_n", "covert_div",
                     "normalized_throughput", "a_hat"):
             float(row[key])
         assert row["meets_targets"] == str(report["meets_targets"]).lower()
         assert row["skipped"] == (report["skipped"] or "")
-        assert (row["skipped"] != "") == (report["n"] == 4)
+        assert (row["skipped"] != "") == (report["n"] in (4, 20000))
         if report["skipped"] is None:
             assert float(row["covert_div"]) == report["covert_div"]
         else:

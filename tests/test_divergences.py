@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cqcovert as cq
+from cqcovert.divergences import Letters
 
 import oracles
 from helpers import random_density, random_pure, random_unitary
@@ -70,6 +71,8 @@ def test_relative_entropies_match_logm_oracle():
             batched = cq.relative_entropies(group, reference)
             single = [cq.relative_entropy(a, reference) for a in group]
             assert batched.shape == (len(group),)
+            # A channel side's prepared divergences, with the reference as its off letter.
+            assert np.array_equal(Letters([reference, *group]).divergences[1:], batched)
             for want, got, one in zip(expected, batched, single):
                 assert got == pytest.approx(want, abs=1e-12)
                 assert one == pytest.approx(want, abs=1e-12)

@@ -14,6 +14,7 @@ import pytest
 import cqcovert as cq
 from cqcovert.config import FRANK_WOLFE_GAP_TOL, KKT_TOL
 from cqcovert.errors import DimensionCapError, WrongRegimeError
+from cqcovert.divergences import Letters
 from cqcovert.regime import Regime
 from cqcovert.scaling import _compositions, _holevo_derivatives, _solve_ray_qp
 
@@ -469,7 +470,7 @@ def test_holevo_derivatives_match_central_differences():
     for dy in (2, 3):
         states = [random_density(rng, dy, floor=0.1) for _ in range(4)]
         p = rng.dirichlet(np.ones(4))
-        chi, grad, hess = _holevo_derivatives(states)(p)
+        chi, grad, hess = _holevo_derivatives(Letters(states))(p)
 
         def f(q):
             return cq.holevo_information(states, q)

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 import cqcovert as cq
-from cqcovert.channel import _letter_factors, _letter_stack, _mixture_divergence, _receiver_pass
+from cqcovert.channel import _mixture_divergence, _receiver_pass
+from cqcovert.config import dim_cap
+from cqcovert.divergences import Letters
 from cqcovert.errors import DimensionCapError, WrongRegimeError
 
 import oracles
@@ -123,10 +125,10 @@ def test_n_letter_passes_match_dense_references():
     rng = np.random.default_rng(41)
     for dy, dz, n_max, real in ((2, 2, 9, False), (3, 3, 4, False), (2, 2, 7, True)):
         ch = random_channel(rng, 3, dy, dz, real=real)
-        factors = _letter_factors(ch.rho)
+        factors = ch.eavesdropper.factors
         assert factors[0].ndim == 2
         dtype = np.float64 if real else np.complex128
-        assert factors.dtype == dtype and _letter_stack(ch.sigma).dtype == dtype
+        assert factors.dtype == dtype and ch.receiver.stack.dtype == dtype
         for n in range(1, n_max + 1):
             for m in (1, 2, 4, 8):
                 codewords = rng.integers(0, 3, size=(m, n))
@@ -154,8 +156,8 @@ def test_n_letter_passes_match_dense_references():
     # One imaginary entry, however small, keeps the real channel's letters complex.
     tiny = np.array([[0.0, 1e-17j], [-1e-17j, 0.0]])
     for states in (ch.sigma, ch.rho):
-        nudged = [cq.DensityOperator(s.mat + tiny) for s in states]
-        assert _letter_stack(nudged).dtype == _letter_factors(nudged).dtype == np.complex128
+        nudged = Letters([cq.DensityOperator(s.mat + tiny) for s in states])
+        assert nudged.stack.dtype == nudged.factors.dtype == np.complex128
 
 
 def _eavesdropper_cases(rng):
@@ -179,7 +181,7 @@ def test_commuting_eavesdropper_matches_dense_reference():
     for rho, commutes in _eavesdropper_cases(rng):
         k = len(rho)
         ch = cq.CQWiretapChannel([random_density(rng, 2) for _ in range(k)], rho)
-        assert (_letter_factors(ch.rho)[0].ndim == 1) == commutes
+        assert (ch.eavesdropper.factors[0].ndim == 1) == commutes
         for n in range(1, 8):
             for m in (1, 3, 8):
                 codewords = rng.integers(0, k, size=(m, n))
@@ -200,7 +202,7 @@ def test_covertness_divergence_support_rule_on_unsanitized_channel():
                cq.DensityOperator(np.pad(inner, ((0, 1), (0, 1)))),
                diag_state(0.2, 0.3, 0.5)]
         ch = cq.CQWiretapChannel([random_density(rng, 2) for _ in range(3)], rho)
-        assert (_letter_factors(ch.rho)[0].ndim == 1) == commutes
+        assert (ch.eavesdropper.factors[0].ndim == 1) == commutes
         inside = np.array([[1, 0, 1], [0, 1, 1]])
         leaking = np.array([[1, 0, 1], [0, 2, 0]])
         pn = cq.InputDistribution([1 / 3] * 3)
@@ -417,14 +419,23 @@ def test_sweep_matches_dense_references():
         assert r.converse_bound == pytest.approx(bound, rel=1e-10)
 
 
-def test_sweep_skips_cells_over_the_cap():
+def test_sweep_skips_cells_over_the_cap(monkeypatch):
+    # A capped cell is skipped before its codebook is drawn, and a large n
+    # is decided, and named, without forming d^n.
+    sampled = []
+
+    def counting(pn, n, *args, _sample=cq.sample_codebook):
+        sampled.append(n)
+        return _sample(pn, n, *args)
+    monkeypatch.setattr("cqcovert.simulate.sample_codebook", counting)
     ch = two_symbol_example_channel()
-    reports = cq.sqrt_law_sweep(ch, 0.05, [2, 13], [2], 0.5, [0])
-    small = [r for r in reports if r.n == 2][0]
-    big = [r for r in reports if r.n == 13][0]
+    small, big, huge = cq.sqrt_law_sweep(ch, 0.05, [2, 13, 20000], [2], 0.5, [0])
     assert small.skipped is None
-    assert big.skipped is not None
-    assert math.isnan(big.covert_div)
+    for report in (big, huge):
+        assert report.skipped is not None
+        assert math.isnan(report.covert_div)
+    assert huge.skipped == f"eavesdropper space of dimension 2^20000 exceeds the cap {dim_cap()}"
+    assert sampled == [2]
 
 
 def test_sweep_cell_makes_one_full_eigensolve_with_commuting_eavesdropper(monkeypatch):
@@ -447,7 +458,10 @@ def test_sweep_cell_makes_one_full_eigensolve_with_commuting_eavesdropper(monkey
 
 
 def test_sweep_cell_eigensolves_do_not_grow_with_the_alphabet(monkeypatch):
-    # Every single-letter term of a cell is one stacked call over the alphabet.
+    # Every single-letter term of a cell is one stacked call over the alphabet,
+    # and the letters' own spectra are the channel's, so a cell makes 4: the
+    # eavesdropper mixture's eigvalsh, the receiver mixture's eigh, and the
+    # marginal mixtures' Holevo and divergence stacks.
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
@@ -456,14 +470,36 @@ def test_sweep_cell_eigensolves_do_not_grow_with_the_alphabet(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     per_cell = {}
     for k in (2, 3, 5):
-        ch = random_square_root_channel(np.random.default_rng(3), k, 2, 2)
+        drawn = random_square_root_channel(np.random.default_rng(3), k, 2, 2)
         counts = []
         for seeds in ([0], [0, 1, 2]):
+            # A fresh channel per sweep: the prepared letters persist on it.
+            ch = cq.CQWiretapChannel(drawn.sigma, drawn.rho)
             calls.clear()
             cq.sqrt_law_sweep(ch, 0.05, [4], [4], 0.1, seeds)
             counts.append(len(calls))
         per_cell[k] = (counts[1] - counts[0]) / 2
-    assert len(set(per_cell.values())) == 1, per_cell
+    assert per_cell == {2: 4, 3: 4, 5: 4}
+
+
+def test_sweep_eigensolves_each_side_letters_once(monkeypatch):
+    # Within one sweep each side's stacked letters are eigensolved once, and
+    # rho(0) is never eigensolved alone: it is row 0 of its side's stack.
+    drawn = random_square_root_channel(np.random.default_rng(5), 3, 2, 2)
+    solved = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            solved.append(np.array(a))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    ch = cq.CQWiretapChannel(drawn.sigma, drawn.rho)  # prepares both sides
+    cq.sqrt_law_sweep(ch, 0.05, [2, 4], [2, 4], 0.1, [0, 1], workers=1)
+
+    def times(mat):
+        return sum(a.shape == mat.shape and np.array_equal(a, mat) for a in solved)
+    assert times(np.stack([s.mat for s in ch.sigma])) == 1
+    assert times(np.stack([r.mat for r in ch.rho])) == 1
+    assert times(ch.rho[0].mat) == 0
 
 
 def test_sweep_pool_starts_at_most_one_worker_per_cell(monkeypatch):
