@@ -11,10 +11,11 @@ program
     minimize 1/2 v^T (Q - 11^T) v   subject to   d^T v = 1, v >= 0,
 
 whose minimum m* gives the constant as 1/sqrt(m*).  One primal active-set
-method solves it for every alphabet size; its final support is certified
-by the KKT conditions, and the constant is cross-checked against a
-brute-force simplex grid.  The same QP, with d = 1, takes each Newton step
-of the covert-rate maximization, so both optimizers share one solver.
+method, ``regime._solve_ray_qp``, solves it for every alphabet size; its
+final support is certified by the KKT conditions, and the constant is
+cross-checked against a brute-force simplex grid.  The same QP, with d = 1,
+takes each Newton step of the covert-rate maximization, and it finds the
+certificate by which ``classify`` skips its LP, so all share one solver.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from scipy.optimize import linprog
 from .config import (
     FRANK_WOLFE_GAP_TOL,
     FRANK_WOLFE_MAX_ITERS,
-    KKT_TOL,
     MAX_GRID_POINTS,
     SUPPORT_TOL,
 )
@@ -49,7 +49,7 @@ from .divergences import (
 from .errors import DimensionCapError, WrongRegimeError
 from .operators import DensityOperator, _support_leaks, dlog_kernel
 from .regime import (Regime, _mixture_constraints, _mixture_residual, _require_sanitized,
-                     classify, informative_symbols)
+                     _solve_ray_qp, classify, informative_symbols)
 
 
 def divergence_vector(ch: CQWiretapChannel) -> np.ndarray:
@@ -76,96 +76,6 @@ def chi_sq_gram(ch: CQWiretapChannel) -> np.ndarray:
     mats = letters.mats[1:]
     gram = np.einsum("iab,jba->ij", mats, mats @ letters.inverse).real
     return (gram + gram.T) / 2.0
-
-
-def _equality_kkt(a_mat, d, support):
-    """``(v, mu)`` with A_SS v_S = mu d_S, d_S^T v_S = 1 and v = 0 off S.
-
-    Least squares, so a singular A (a duplicated symbol, or more symbols
-    than the eavesdropper's real dimension) still gives a solution.
-    """
-    s = list(support)
-    size = len(s)
-    kkt = np.zeros((size + 1, size + 1))
-    kkt[:size, :size] = a_mat[np.ix_(s, s)]
-    kkt[:size, size] = -d[s]
-    kkt[size, :size] = d[s]
-    rhs = np.zeros(size + 1)
-    rhs[size] = 1.0
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    v = np.zeros(len(d))
-    v[s] = sol[:size]
-    return v, sol[size]
-
-
-def _kkt_candidate(a_mat, d, support, scale):
-    """Solve the equality KKT system on one support and verify optimality.
-
-    Returns ``(v, objective, kkt_residual)`` when the candidate satisfies
-    primal feasibility, stationarity on the support, and dual feasibility
-    off it; otherwise None.
-    """
-    s = list(support)
-    if not np.any(d[s] > 0.0):
-        return None
-    v, mu = _equality_kkt(a_mat, d, s)
-    if np.min(v[s]) < -1e-12:
-        return None
-    v = np.clip(v, 0.0, None)
-
-    grad = a_mat @ v - mu * d
-    tol = KKT_TOL * max(1.0, scale)
-    primal = abs(float(d @ v) - 1.0)
-    stationarity = float(np.abs(grad[s]).max())
-    dual = max(0.0, -float(np.delete(grad, s).min(initial=0.0)))
-    residual = max(primal, stationarity, dual)
-    if residual > tol:
-        return None
-    objective = 0.5 * float(v @ a_mat @ v)
-    return v, objective, residual
-
-
-def _solve_ray_qp(a_mat, d):
-    """min 1/2 v^T A v  s.t.  d^T v = 1, v >= 0, for PSD A.
-
-    Primal active-set method (Nocedal & Wright, ch. 16) with the loop of
-    Lawson & Hanson's NNLS.  The free set starts as {argmax d}, and each
-    pass solves the equality KKT system on it.  A target with a component
-    <= 0 is approached up to the first blocking bound, and the indices that
-    reach 0 leave the free set; otherwise the target becomes the iterate and
-    the index with the most negative gradient (A v - mu d)_j joins.  When no
-    gradient is below -tol, ``_kkt_candidate`` certifies the free set (a KKT
-    point of a convex program is a global minimum).  Raises ArithmeticError
-    if it does not, or after 3 r passes, the NNLS cap.
-    """
-    r = len(d)
-    scale = max(float(np.abs(a_mat).max()), float(np.abs(d).max()), 1.0)
-    free = np.zeros(r, dtype=bool)
-    free[np.argmax(d)] = True
-    v = np.zeros(r)
-    for _ in range(3 * r):
-        target, mu = _equality_kkt(a_mat, d, np.flatnonzero(free))
-        blocking = np.flatnonzero(free & (target <= 0.0))
-        if blocking.size:
-            # v >= 0 >= target on the blocking indices; one already at 0 stops the step.
-            ratio = np.divide(v[blocking], v[blocking] - target[blocking],
-                              out=np.zeros(blocking.size), where=v[blocking] > 0.0)
-            step = float(ratio.min())
-            v = v + step * (target - v)
-            hit = blocking[ratio <= step]
-            v[hit] = 0.0
-            free[hit] = False
-            continue
-        v = target
-        grad = np.where(free, np.inf, a_mat @ v - mu * d)
-        enter = int(np.argmin(grad))
-        if grad[enter] >= -KKT_TOL * scale:
-            found = _kkt_candidate(a_mat, d, np.flatnonzero(free), scale)
-            if found is None:
-                raise ArithmeticError("active-set solution failed KKT verification")
-            return found
-        free[enter] = True
-    raise ArithmeticError(f"active-set QP did not converge in {3 * r} passes (r = {r})")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,11 @@ The covert-rate reference maximizes the Holevo information with scipy's
 SLSQP, from its own entropies and gradient, instead of the package's
 Frank-Wolfe and Newton path.
 
+The mixture reference decides the regime by scipy's HiGHS on the raw
+matrices, one equality row per real and per imaginary part of every entry,
+as the package did before it certified square-root channels without a
+linear program; it also reports the maximum masses the certificate bounds.
+
 ``matrix_fn`` applies a scalar function in the eigenbasis of one operator,
 the per-call matrix function the package replaced by spectra it already
 holds.
@@ -42,11 +47,12 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg import logm
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 import cqcovert as cq
-from cqcovert.config import SUPPORT_TOL
-from cqcovert.scaling import _kkt_candidate
+from cqcovert.config import (MIXTURE_MASS_TOL, STATE_EQUALITY_TOL, SUPPORT_INCLUSION_TOL,
+                             SUPPORT_TOL)
+from cqcovert.regime import _kkt_candidate
 
 
 def entropy(p) -> float:
@@ -355,3 +361,51 @@ def matrix_fn(a, f, on_support_only: bool = False):
             "pass on_support_only=True for logs and negative powers"
         )
     return cq.HermitianOperator((v * fw) @ v.conj().T)
+
+
+def mixture_lp_verdict(ch):
+    """``(regime, witness, flag, masses)`` of a sanitized channel by one LP per
+    objective set on the raw matrices.
+
+    ``masses`` holds the maximum of the mass on the informative symbols and
+    on all nonzero symbols over the distributions whose eavesdropper mixture
+    is rho(0); ``witness`` is the informative maximizer's probabilities when
+    that mass exceeds MIXTURE_MASS_TOL (blended with the off symbol if it
+    carries no Holevo information), else None; ``flag`` is raised when only
+    the nonzero mass does.
+    """
+    k = ch.k
+    flat = np.stack([r.mat for r in ch.rho]).reshape(k, -1)
+    a_eq = np.vstack([flat.real.T, flat.imag.T, np.ones((1, k))])
+    b_eq = np.concatenate([flat[0].real, flat[0].imag, [1.0]])
+
+    def max_mass(symbols):
+        cost = np.zeros(k)
+        cost[list(symbols)] = -1.0
+        res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        assert res.status == 0, res.message
+        return -float(res.fun), res.x
+
+    informative = [x for x in range(1, k) if trace_norm(
+        cq.HermitianOperator(ch.sigma[x].mat - ch.sigma[0].mat)) > STATE_EQUALITY_TOL]
+    masses = {"informative": 0.0, "nonzero": max_mass(range(1, k))[0]}
+    witness = None
+    if informative:
+        masses["informative"], x = max_mass(informative)
+        if masses["informative"] > MIXTURE_MASS_TOL:
+            witness = np.clip(x, 0.0, None)
+            witness = witness / witness.sum()
+            if holevo_information_loop(ch.sigma, witness) <= 0.0:
+                witness = 0.5 * witness + 0.5 * np.eye(k)[0]
+    flag = witness is None and masses["nonzero"] > MIXTURE_MASS_TOL
+
+    off_zero = np.eye(ch.receiver_dim) - support_projector(ch.sigma[0]).mat
+    leaks = any(np.linalg.norm(off_zero @ support_projector(s).mat, 2) > SUPPORT_INCLUSION_TOL
+                for s in ch.sigma[1:])
+    if witness is not None:
+        regime = cq.Regime.POSITIVE_RATE
+    elif leaks:
+        regime = cq.Regime.SUPER_SQUARE_ROOT
+    else:
+        regime = cq.Regime.SQUARE_ROOT
+    return regime, witness, flag, masses

@@ -4,7 +4,10 @@ from scipy.optimize import linprog
 
 import cqcovert as cq
 from cqcovert import regime
+from cqcovert.config import MIXTURE_MASS_TOL
 from cqcovert.regime import Regime, informative_symbols
+
+import oracles
 
 from helpers import (
     conjugated_channel,
@@ -14,6 +17,7 @@ from helpers import (
     permuted_channel,
     random_channel,
     random_density,
+    random_hermitian,
     random_square_root_channel,
     random_unitary,
     two_symbol_example_channel,
@@ -168,9 +172,20 @@ def test_informative_symbols():
     assert informative_symbols(ch2) == [2]
 
 
-def test_classify_solves_a_second_lp_only_for_uninformative_symbols(monkeypatch):
-    # The flag's LP maximizes the mass on all nonzero symbols; when they are
-    # all informative it is the witness LP again and must not be re-solved.
+def test_flag_raised_when_no_symbol_is_informative():
+    # rho(0) is the even mixture of rho(1) and rho(2); no symbol carries
+    # receiver-side information, so there is no witness, only the flag
+    s0 = diag_state(0.5, 0.5)
+    rho = [diag_state(0.5, 0.5), diag_state(0.75, 0.25), diag_state(0.25, 0.75)]
+    report = cq.classify(cq.CQWiretapChannel([s0, s0, s0], rho))
+    assert report.regime == Regime.SQUARE_ROOT
+    assert report.mixture_witness is None
+    assert report.mixture_on_uninformative_only
+    assert report.lp_residual == 0.0
+
+
+def counted_linprog(monkeypatch):
+    """The list that gets one entry per LP ``regime`` solves from now on."""
     calls = []
 
     def counting_linprog(*args, **kwargs):
@@ -178,6 +193,18 @@ def test_classify_solves_a_second_lp_only_for_uninformative_symbols(monkeypatch)
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(regime, "linprog", counting_linprog)
+    return calls
+
+
+def test_classify_solves_a_second_lp_only_for_uninformative_symbols(monkeypatch):
+    # The flag's search maximizes the mass on all nonzero symbols; when they
+    # are all informative it is the witness search again and is not redone.
+    # A search runs its LP only when the certificate fails: for the rho of
+    # these channels the simplex of the rho(x) - rho(0) comes within 0.0934
+    # of 0 in Frobenius norm, so a P with residual 1e-8 (MIXTURE_RESIDUAL_TOL)
+    # can put 1.07e-7 > MIXTURE_MASS_TOL on the nonzero symbols and no
+    # certificate over all of them exists.
+    calls = counted_linprog(monkeypatch)
     rng = np.random.default_rng(15)
     informative = random_square_root_channel(rng, 4, 2, 2)
     assert informative_symbols(informative) == [1, 2, 3]
@@ -185,8 +212,9 @@ def test_classify_solves_a_second_lp_only_for_uninformative_symbols(monkeypatch)
         [informative.sigma[0]] + list(informative.sigma[:3]), informative.rho)
     cases = [
         (informative, 1, False),
-        (uninformative_mixture_channel(), 2, True),
-        (one_idle, 2, False),
+        (uninformative_mixture_channel(), 1, True),  # a mixture is never certified away
+        (one_idle, 1, False),  # {2, 3} is certified, {1, 2, 3} is not
+        (two_symbol_example_channel(), 0, False),
     ]
     for ch, lps, flagged in cases:
         calls.clear()
@@ -194,3 +222,115 @@ def test_classify_solves_a_second_lp_only_for_uninformative_symbols(monkeypatch)
         assert report.regime == Regime.SQUARE_ROOT
         assert report.mixture_on_uninformative_only is flagged
         assert len(calls) == lps
+
+
+def recorded_certificates(monkeypatch):
+    """The list that gets ``(len(symbols), proved)`` per certificate tried."""
+    tried = []
+    certificate = regime._no_mixture_certificate
+
+    def recording(deltas, gram, symbols):
+        proved = certificate(deltas, gram, symbols)
+        tried.append((len(symbols), proved))
+        return proved
+
+    monkeypatch.setattr(regime, "_no_mixture_certificate", recording)
+    return tried
+
+
+def test_certified_square_root_draws_solve_no_lp(monkeypatch):
+    calls = counted_linprog(monkeypatch)
+    tried = recorded_certificates(monkeypatch)
+    rng = np.random.default_rng(16)
+    certified = 0
+    for k, dz in [(2, 2), (3, 2), (3, 3), (5, 3), (8, 3)] * 4:
+        ch = random_square_root_channel(rng, k, 2, dz)
+        calls.clear()
+        tried.clear()
+        report = cq.classify(ch)
+        assert report.regime == Regime.SQUARE_ROOT
+        if all(proved for _, proved in tried):
+            certified += 1
+            assert calls == [] and report.lp_residual == 0.0
+    assert certified >= 15
+
+
+def random_traceless(rng, dim):
+    """Random traceless Hermitian matrix of unit Frobenius norm."""
+    h = random_hermitian(rng, dim).mat
+    h = h - np.trace(h).real / dim * np.eye(dim)
+    return h / np.linalg.norm(h)
+
+
+def near_boundary_channel(rng, dz, k, gap):
+    """Channel whose rho(x) - rho(0) = gap u + w_x, with every w_x orthogonal
+    to a unit u and w_2 = -a w_1: the nearest point to 0 of their hull is
+    gap u, so the certificate needs gap > MIXTURE_RESIDUAL_TOL / MIXTURE_MASS_TOL."""
+    u = random_traceless(rng, dz)
+    ws = []
+    for _ in range(k - 1):
+        w = random_traceless(rng, dz)
+        w = w - np.vdot(u, w).real * u
+        ws.append(0.05 * w / np.linalg.norm(w))
+    ws[1] = -rng.uniform(0.5, 2.0) * ws[0]
+    rho0 = np.eye(dz) / dz
+    rho = [rho0] + [rho0 + gap * u + w for w in ws]
+    sigma = [random_density(rng, 2, floor=0.2) for _ in range(k)]
+    if rng.random() < 0.3:
+        sigma[1] = sigma[0]
+    return cq.CQWiretapChannel(sigma, [cq.DensityOperator(r) for r in rho])
+
+
+def mixture_channel(rng, dz):
+    """rho(0) a generic mixture of up to dZ^2 affinely independent states, so
+    the witness is unique, with some sigma(x) = sigma(0)."""
+    k = 1 + int(rng.integers(2, dz * dz + 1))
+    comps = int(rng.integers(2, k))
+    rho = [random_density(rng, dz, floor=0.2) for _ in range(k - 1)]
+    weights = rng.dirichlet(np.ones(comps))
+    rho0 = cq.DensityOperator(sum(w * r.mat for w, r in zip(weights, rho)))
+    sigma = [random_density(rng, 2, floor=0.2) for _ in range(k)]
+    for x in range(1, k):
+        if rng.random() < 0.4:
+            sigma[x] = sigma[0]
+    return cq.CQWiretapChannel(sigma, [rho0] + rho)
+
+
+def agreement_channels(rng):
+    """(family, channel) pairs: 420 draws over four families, to be sanitized."""
+    for i in range(120):
+        dz = 2 + i % 2
+        k = int(rng.integers(2, dz * dz + 2))  # k - 1 <= dZ^2 keeps a witness unique
+        yield "random", random_channel(rng, k, 2, dz)
+    for i in range(60):
+        yield "square-root", random_square_root_channel(rng, 2 + i % 6, 2, 2 + i % 2)
+    for i in range(120):
+        yield "mixture", mixture_channel(rng, 2 + i % 2)
+    for i in range(120):
+        gap = 0.1 * (1.0 + (-1) ** i * 10.0 ** -rng.uniform(2, 8))
+        yield "near-boundary", near_boundary_channel(rng, 2 + i % 2, int(rng.integers(3, 6)), gap)
+
+
+def test_classify_agrees_with_lp_oracle(monkeypatch):
+    tried = recorded_certificates(monkeypatch)
+    seen = {}
+    for family, raw in agreement_channels(np.random.default_rng(25)):
+        ch, _ = cq.sanitize(raw)
+        tried.clear()
+        report = cq.classify(ch)
+        certified = [size for size, proved in tried if proved]
+        oracle_regime, witness, flag, masses = oracles.mixture_lp_verdict(ch)
+        assert report.regime == oracle_regime, family
+        assert report.mixture_on_uninformative_only == flag, family
+        if witness is None:
+            assert report.mixture_witness is None, family
+        else:
+            assert np.allclose(report.mixture_witness.probs, witness, atol=1e-9), family
+        for size in certified:
+            key = "nonzero" if size == ch.k - 1 else "informative"
+            assert masses[key] <= MIXTURE_MASS_TOL, family
+        seen.setdefault(family, []).append((report.regime, bool(certified)))
+    assert sum(map(len, seen.values())) >= 400
+    assert (Regime.SQUARE_ROOT, True) in seen["near-boundary"]
+    assert (Regime.SQUARE_ROOT, False) in seen["near-boundary"]
+    assert (Regime.POSITIVE_RATE, False) in seen["mixture"]

@@ -281,7 +281,7 @@ def test_ray_qp_without_positive_direction_raises():
 
 def test_ray_qp_pass_cap_raises(monkeypatch):
     # A KKT solve whose target is never feasible makes the free set cycle.
-    monkeypatch.setattr("cqcovert.scaling._equality_kkt",
+    monkeypatch.setattr("cqcovert.regime._equality_kkt",
                         lambda a_mat, d, support: (-np.ones(len(d)), 1.0))
     with pytest.raises(ArithmeticError, match="did not converge in 6 passes"):
         _solve_ray_qp(np.eye(2), np.ones(2))
